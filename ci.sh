@@ -33,6 +33,14 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# The benchmark in perfbench/ is a Cargo workspace of its own, so the
+# workspace test step above does not reach its statistics tests; the
+# Python check runs one traced repetition of every workload and matches
+# the metric names and units against BENCHMARK.json.
+echo "==> perfbench tests (statistics, metric names vs BENCHMARK.json)"
+cargo test -q --manifest-path perfbench/Cargo.toml --release
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 echo "==> bench smoke (conversion throughput)"
 DBPC_BENCH_SMOKE=1 cargo bench -p dbpc-bench --bench conversion_throughput
 

@@ -9,6 +9,13 @@
 //! pinned aborts with [`DiskError::BufferAbort`] rather than evicting
 //! under someone's feet.
 //!
+//! **Page table.** A hash map from block to frame index makes a hit O(1)
+//! whatever the pool size. Frames are allocated on first use, up to the
+//! capacity, so a pool larger than the data costs only the pages it has
+//! held; unmapped frames wait on a free list, lowest index first. A
+//! frame is unmapped before its new block is read, so a failed read
+//! leaves it free rather than claiming its old block over a zeroed page.
+//!
 //! **WAL discipline.** Flushing a dirty frame first calls
 //! [`LogMgr::flush_before`] with the frame's recorded LSN, so a data page
 //! can never reach disk ahead of the log records that explain it.
@@ -19,6 +26,7 @@
 use super::file::{BlockId, FileMgr, Page};
 use super::log::{LogMgr, Lsn};
 use super::{DiskError, DiskResult};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Metric: pin requests served. Like every physical-I/O metric in the
@@ -45,6 +53,19 @@ struct Frame {
     referenced: bool,
 }
 
+impl Frame {
+    fn new(page_size: usize) -> Frame {
+        Frame {
+            page: Page::new(page_size),
+            blk: None,
+            pins: 0,
+            dirty: false,
+            lsn: 0,
+            referenced: false,
+        }
+    }
+}
+
 /// Handle to a pinned frame, by pool index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameId(usize);
@@ -59,7 +80,12 @@ pub struct FrameId(usize);
 #[derive(Debug)]
 pub struct BufferMgr {
     fm: Arc<FileMgr>,
+    /// Frames allocated so far, in first-use order.
     frames: Vec<Frame>,
+    /// Block → index of the frame holding it; exactly the mapped frames.
+    table: HashMap<BlockId, usize>,
+    /// Unmapped frames, handed out lowest index first.
+    free: BTreeSet<usize>,
     hand: usize,
     /// Capacity requested at construction; `trim` shrinks back to it.
     base_capacity: usize,
@@ -73,28 +99,21 @@ impl BufferMgr {
         if capacity == 0 {
             return Err(DiskError::Config("buffer pool capacity 0".to_string()));
         }
-        let ps = fm.page_size();
-        let frames = (0..capacity)
-            .map(|_| Frame {
-                page: Page::new(ps),
-                blk: None,
-                pins: 0,
-                dirty: false,
-                lsn: 0,
-                referenced: false,
-            })
-            .collect();
         Ok(BufferMgr {
             fm,
-            frames,
+            frames: Vec::new(),
+            table: HashMap::new(),
+            free: BTreeSet::new(),
             hand: 0,
             base_capacity: capacity,
             no_steal: false,
         })
     }
 
+    /// Frames the pool may hold: its base capacity, or more after
+    /// no-steal growth.
     pub fn capacity(&self) -> usize {
-        self.frames.len()
+        self.frames.len().max(self.base_capacity)
     }
 
     /// Page size of the underlying file manager.
@@ -117,6 +136,20 @@ impl BufferMgr {
     /// exists, so un-checkpointed changes can only live in RAM.
     pub fn set_no_steal(&mut self, on: bool) {
         self.no_steal = on;
+    }
+
+    /// The frame holding `blk`, if it is resident (pinned or not).
+    pub fn lookup(&self, blk: &BlockId) -> Option<FrameId> {
+        self.table.get(blk).map(|&i| FrameId(i))
+    }
+
+    /// Every resident block with its frame, in frame order.
+    pub fn resident(&self) -> Vec<(BlockId, FrameId)> {
+        self.frames
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| f.blk.clone().map(|b| (b, FrameId(i))))
+            .collect()
     }
 
     /// Blocks currently held in dirty frames, in block order.
@@ -144,6 +177,19 @@ impl BufferMgr {
             }
         }
         self.hand = 0;
+        // Removal shifted frame indexes: rebuild the page table.
+        self.table.clear();
+        self.free.clear();
+        for (i, f) in self.frames.iter().enumerate() {
+            match &f.blk {
+                Some(blk) => {
+                    self.table.insert(blk.clone(), i);
+                }
+                None => {
+                    self.free.insert(i);
+                }
+            }
+        }
     }
 
     /// Pin `blk` into a frame, reading it from disk on a miss. Evicting a
@@ -151,7 +197,7 @@ impl BufferMgr {
     /// [`DiskError::BufferAbort`] when every frame is pinned.
     pub fn pin(&mut self, blk: &BlockId, log: Option<&mut LogMgr>) -> DiskResult<FrameId> {
         dbpc_obs::racy(BUFFER_PINS, 1);
-        if let Some(i) = self.frames.iter().position(|f| f.blk.as_ref() == Some(blk)) {
+        if let Some(&i) = self.table.get(blk) {
             dbpc_obs::racy(BUFFER_HITS, 1);
             self.frames[i].pins += 1;
             self.frames[i].referenced = true;
@@ -163,8 +209,15 @@ impl BufferMgr {
         }
         self.flush_frame(i, log)?;
         let frame = &mut self.frames[i];
-        self.fm.read(blk, &mut frame.page)?;
+        if let Some(old) = frame.blk.take() {
+            self.table.remove(&old);
+        }
+        if let Err(e) = self.fm.read(blk, &mut frame.page) {
+            self.free.insert(i);
+            return Err(e);
+        }
         frame.blk = Some(blk.clone());
+        self.table.insert(blk.clone(), i);
         frame.pins = 1;
         frame.dirty = false;
         frame.lsn = 0;
@@ -176,9 +229,13 @@ impl BufferMgr {
     /// frames are also skipped, and an exhausted sweep grows the pool by
     /// one frame instead of aborting.
     fn victim(&mut self) -> DiskResult<usize> {
-        // First preference: a frame never used at all.
-        if let Some(i) = self.frames.iter().position(|f| f.blk.is_none()) {
+        // First preference: the lowest frame holding no block, allocated
+        // or not.
+        if let Some(i) = self.free.pop_first() {
             return Ok(i);
+        }
+        if self.frames.len() < self.base_capacity {
+            return Ok(self.new_frame());
         }
         // Two full sweeps: the first clears reference bits, the second
         // must then find any eligible frame if one exists.
@@ -196,19 +253,16 @@ impl BufferMgr {
             return Ok(i);
         }
         if self.no_steal {
-            self.frames.push(Frame {
-                page: Page::new(self.fm.page_size()),
-                blk: None,
-                pins: 0,
-                dirty: false,
-                lsn: 0,
-                referenced: false,
-            });
-            return Ok(self.frames.len() - 1);
+            return Ok(self.new_frame());
         }
         Err(DiskError::BufferAbort {
             capacity: self.frames.len(),
         })
+    }
+
+    fn new_frame(&mut self) -> usize {
+        self.frames.push(Frame::new(self.fm.page_size()));
+        self.frames.len() - 1
     }
 
     fn check(&self, id: FrameId) -> DiskResult<()> {
@@ -350,6 +404,40 @@ mod tests {
         assert!(bm.page(id).is_err());
         assert!(bm.unpin(id).is_err());
         assert!(bm.mark_dirty(id, 0).is_err());
+    }
+
+    #[test]
+    fn failed_read_leaves_the_victim_reloadable_and_its_frame_free() {
+        let (dir, mut bm) = setup(1);
+        let blk = BlockId::new("data", 0);
+        let id = bm.pin(&blk, None).unwrap();
+        bm.page_mut(id).unwrap().write_at(0, b"survivor").unwrap();
+        bm.mark_dirty(id, 0).unwrap();
+        bm.unpin(id).unwrap();
+
+        // Two reads that fail after the victim was evicted (and, the first
+        // time, flushed): one the file manager cannot open (a directory),
+        // one it opens but cannot read (an offset past the largest the OS
+        // accepts), which zero-fills the frame's page before it fails.
+        std::fs::create_dir(dir.path().join("subdir")).unwrap();
+        let bad = [
+            BlockId::new("subdir", 0),
+            BlockId::new("data", (1u64 << 63) / 128 + 1),
+        ];
+        for bad in &bad {
+            assert!(matches!(bm.pin(bad, None), Err(DiskError::Io { .. })));
+            assert!(bm.lookup(bad).is_none());
+            assert!(bm.lookup(&blk).is_none(), "victim still mapped");
+            assert_eq!(bm.pinned(), 0);
+
+            // The old block reads back its flushed bytes, into the frame
+            // the failed pin gave back.
+            let id = bm.pin(&blk, None).unwrap();
+            assert_eq!(bm.page(id).unwrap().read_at(0, 8).unwrap(), b"survivor");
+            assert_eq!(bm.lookup(&blk), Some(id));
+            bm.unpin(id).unwrap();
+        }
+        assert_eq!(bm.capacity(), 1);
     }
 
     #[test]

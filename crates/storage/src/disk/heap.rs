@@ -19,20 +19,22 @@
 //! Erased overflow blocks are zeroed back to virgin and recycled.
 //!
 //! Two structures are RAM-resident and rebuilt by [`HeapFile::open`]'s
-//! page scan rather than persisted: the **free-space map** (per-page free
-//! and dead byte counts, driving first-fit placement with in-page
+//! page scan rather than persisted: the **free-space map** (per-block
+//! free and dead byte counts, driving first-fit placement with in-page
 //! compaction when a page's free space is fragmented) and the virgin
-//! block free list. Placement is deterministic — lowest eligible block
-//! first — so identical operation sequences produce identical files.
+//! block free list. Placement is deterministic — the lowest block that
+//! fits, found in O(log pages) by a max segment tree over each block's
+//! room — so identical operation sequences produce identical files.
+//! Reading a slot (directory entry and body) takes one pin, and pins
+//! reuse one [`BlockId`] key rather than building one per pin.
 //!
 //! The heap marks frames dirty with LSN 0: its crash consistency is
 //! fenced by the owner's checkpoint protocol (see `disk::durable`), not
 //! by per-page WAL coupling.
 
-use super::buffer::BufferMgr;
+use super::buffer::{BufferMgr, FrameId};
 use super::file::{BlockId, FileMgr, Page};
 use super::{DiskError, DiskResult};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Page kind tags (byte 0 of every block).
@@ -85,7 +87,7 @@ pub struct HeapStats {
     pub fill_pct: u64,
 }
 
-/// Per-slotted-page free-space map entry.
+/// Per-slotted-page free-space map entry (all zero for other blocks).
 #[derive(Debug, Clone, Copy, Default)]
 struct PageSpace {
     /// Contiguous free bytes between the slot directory and `free_ptr`.
@@ -97,15 +99,81 @@ struct PageSpace {
     free_slots: u16,
 }
 
+impl PageSpace {
+    /// Largest body the page can take, compaction allowed: free plus
+    /// dead bytes, less a new directory entry when no slot is free.
+    /// Negative when not even an empty body fits.
+    fn room(self) -> i32 {
+        let entry = if self.free_slots > 0 { 0 } else { SLOT as i32 };
+        i32::from(self.free) + i32::from(self.dead) - entry
+    }
+}
+
+/// Max segment tree over per-block room: the lowest block whose room is
+/// at least a given need, in O(log blocks). Blocks never set (overflow,
+/// virgin) hold `i32::MIN` and never fit.
+#[derive(Debug, Default)]
+struct FitTree {
+    /// Leaf count, a power of two (0 when empty).
+    leaves: usize,
+    /// `node[1]` is the root; leaf `b` is `node[leaves + b]`.
+    node: Vec<i32>,
+}
+
+impl FitTree {
+    fn set(&mut self, b: usize, room: i32) {
+        if b >= self.leaves {
+            self.grow(b + 1);
+        }
+        let mut i = self.leaves + b;
+        self.node[i] = room;
+        while i > 1 {
+            i /= 2;
+            self.node[i] = self.node[2 * i].max(self.node[2 * i + 1]);
+        }
+    }
+
+    /// Re-size to at least `n` leaves, keeping the current ones.
+    fn grow(&mut self, n: usize) {
+        let leaves = n.next_power_of_two();
+        let mut node = vec![i32::MIN; 2 * leaves];
+        node[leaves..leaves + self.leaves].copy_from_slice(&self.node[self.leaves..]);
+        for i in (1..leaves).rev() {
+            node[i] = node[2 * i].max(node[2 * i + 1]);
+        }
+        self.leaves = leaves;
+        self.node = node;
+    }
+
+    fn first_fit(&self, need: i32) -> Option<usize> {
+        if self.leaves == 0 || self.node[1] < need {
+            return None;
+        }
+        let mut i = 1;
+        while i < self.leaves {
+            i = if self.node[2 * i] >= need {
+                2 * i
+            } else {
+                2 * i + 1
+            };
+        }
+        Some(i - self.leaves)
+    }
+}
+
 /// A heap file: slotted record pages + overflow chains in one paged file.
 #[derive(Debug)]
 pub struct HeapFile {
     bm: BufferMgr,
     file: String,
+    /// Pin key, re-pointed at each block pinned so pins allocate nothing.
+    key: BlockId,
     /// Number of blocks currently in the file.
     blocks: u32,
-    /// Free-space map over slotted pages.
-    space: BTreeMap<u32, PageSpace>,
+    /// Free-space map, indexed by block.
+    space: Vec<PageSpace>,
+    /// Room of every slotted page, for first-fit placement.
+    rooms: FitTree,
     /// Virgin blocks (erased overflow pages) available for reuse.
     virgin: Vec<u32>,
     /// Live record count.
@@ -124,9 +192,11 @@ impl HeapFile {
         let bm = BufferMgr::new(fm, pool)?;
         let mut heap = HeapFile {
             bm,
+            key: BlockId::new(file.clone(), 0),
             file,
             blocks,
-            space: BTreeMap::new(),
+            space: Vec::new(),
+            rooms: FitTree::default(),
             virgin: Vec::new(),
             records: 0,
             live_bytes: 0,
@@ -139,42 +209,33 @@ impl HeapFile {
     /// scanning every page. Also used after recovery rolls pages back.
     pub fn rescan(&mut self) -> DiskResult<()> {
         self.space.clear();
+        self.rooms = FitTree::default();
         self.virgin.clear();
         self.records = 0;
         self.live_bytes = 0;
         for b in 0..self.blocks {
-            let (kind, entries) = self.with_page(b, |page| {
+            let (kind, entries, live_bytes) = self.with_page(b, |page| {
                 let kind = page.as_slice()[0];
-                let mut entries = Vec::new();
-                if kind == KIND_SLOTTED {
-                    let n = read_u16(page, 1)?;
-                    for s in 0..n {
-                        entries.push((read_u16(page, HDR + s as usize * SLOT)?, {
-                            read_u16(page, HDR + s as usize * SLOT + 2)?
-                        }));
-                    }
+                if kind != KIND_SLOTTED {
+                    return Ok((kind, Vec::new(), 0));
                 }
-                Ok((kind, entries))
+                let entries = slot_entries(page)?;
+                let mut live_bytes = 0;
+                for &(off, len) in entries.iter().filter(|(off, _)| *off != 0) {
+                    let body = page.read_at(off as usize, len as usize)?;
+                    live_bytes += match body.first() {
+                        Some(&SPILLED) => parse_stub(body)?.0 as u64,
+                        _ => u64::from(len).saturating_sub(1),
+                    };
+                }
+                Ok((kind, entries, live_bytes))
             })?;
             match kind {
                 KIND_VIRGIN => self.virgin.push(b),
                 KIND_OVERFLOW => {}
                 KIND_SLOTTED => {
-                    for (slot, &(off, len)) in entries.iter().enumerate() {
-                        if off == 0 {
-                            continue;
-                        }
-                        self.records += 1;
-                        let id = HeapId {
-                            block: b,
-                            slot: slot as u16,
-                        };
-                        let body = self.read_slot(id, off, len)?;
-                        self.live_bytes += match body.first() {
-                            Some(&SPILLED) => parse_stub(&body)?.0 as u64,
-                            _ => u64::from(len).saturating_sub(1),
-                        };
-                    }
+                    self.records += entries.iter().filter(|(off, _)| *off != 0).count() as u64;
+                    self.live_bytes += live_bytes;
                     self.recompute_space(b, &entries);
                 }
                 other => {
@@ -221,13 +282,14 @@ impl HeapFile {
         self.page_size() - HDR - SLOT - 1
     }
 
-    fn blk(&self, b: u32) -> BlockId {
-        BlockId::new(self.file.clone(), u64::from(b))
+    fn pin(&mut self, b: u32) -> DiskResult<FrameId> {
+        self.key.num = u64::from(b);
+        self.bm.pin(&self.key, None)
     }
 
     /// Pin block `b`, run `f` on its page, unpin. Read-only.
     fn with_page<T>(&mut self, b: u32, f: impl FnOnce(&Page) -> DiskResult<T>) -> DiskResult<T> {
-        let fid = self.bm.pin(&self.blk(b), None)?;
+        let fid = self.pin(b)?;
         let out = f(self.bm.page(fid)?);
         self.bm.unpin(fid)?;
         out
@@ -239,7 +301,7 @@ impl HeapFile {
         b: u32,
         f: impl FnOnce(&mut Page) -> DiskResult<T>,
     ) -> DiskResult<T> {
-        let fid = self.bm.pin(&self.blk(b), None)?;
+        let fid = self.pin(b)?;
         let out = f(self.bm.page_mut(fid)?);
         if out.is_ok() {
             self.bm.mark_dirty(fid, 0)?;
@@ -250,19 +312,17 @@ impl HeapFile {
 
     /// Append a fresh block (or recycle a virgin one) and return its id.
     fn alloc_block(&mut self, kind: u8) -> DiskResult<u32> {
-        if let Some(b) = self.virgin.pop() {
-            self.with_page_mut(b, |page| {
-                page.zero();
-                page.as_mut_slice()[0] = kind;
-                Ok(())
-            })?;
-            return Ok(b);
-        }
-        let b = self.blocks;
-        self.blocks = self
-            .blocks
-            .checked_add(1)
-            .ok_or_else(|| DiskError::Config("heap grew past u32 blocks".to_string()))?;
+        let b = match self.virgin.pop() {
+            Some(b) => b,
+            None => {
+                let b = self.blocks;
+                self.blocks = self
+                    .blocks
+                    .checked_add(1)
+                    .ok_or_else(|| DiskError::Config("heap grew past u32 blocks".to_string()))?;
+                b
+            }
+        };
         self.with_page_mut(b, |page| {
             page.zero();
             page.as_mut_slice()[0] = kind;
@@ -271,15 +331,19 @@ impl HeapFile {
         Ok(b)
     }
 
+    fn set_space(&mut self, b: u32, sp: PageSpace) {
+        let i = b as usize;
+        if i >= self.space.len() {
+            self.space.resize(i + 1, PageSpace::default());
+        }
+        self.space[i] = sp;
+        self.rooms.set(i, sp.room());
+    }
+
     fn recompute_space(&mut self, b: u32, entries: &[(u16, u16)]) {
         let ps = self.page_size() as u16;
         let n = entries.len() as u16;
-        let free_ptr = entries
-            .iter()
-            .filter(|(off, _)| *off != 0)
-            .map(|(off, _)| *off)
-            .min()
-            .unwrap_or(ps);
+        let free_ptr = lowest_live(entries, ps);
         let dir_end = HDR as u16 + n * SLOT as u16;
         let live: u16 = entries
             .iter()
@@ -287,7 +351,7 @@ impl HeapFile {
             .map(|(_, len)| *len)
             .sum();
         let free_slots = entries.iter().filter(|(off, _)| *off == 0).count() as u16;
-        self.space.insert(
+        self.set_space(
             b,
             PageSpace {
                 free: free_ptr - dir_end,
@@ -297,48 +361,55 @@ impl HeapFile {
         );
     }
 
+    /// The lowest slotted page able to take a body of `need` bytes, and
+    /// whether its free space must be compacted first.
+    fn fit(&self, need: u16) -> Option<(u32, bool)> {
+        let b = self.rooms.first_fit(i32::from(need))?;
+        let sp = self.space[b];
+        let cost = if sp.free_slots > 0 {
+            need
+        } else {
+            need + SLOT as u16
+        };
+        Some((b as u32, sp.free < cost))
+    }
+
+    /// Where [`HeapFile::insert`] would put a payload of `len` bytes: the
+    /// slotted block and whether that page is compacted first, or `None`
+    /// when the insert opens a new page.
+    pub fn placement(&self, len: usize) -> Option<(u32, bool)> {
+        let need = if len <= self.inline_max() {
+            len + 1
+        } else {
+            STUB
+        };
+        self.fit(need as u16)
+    }
+
     /// Find (or create) a slotted page able to take `need` payload bytes,
     /// compacting a fragmented page in place when that suffices. First
     /// fit in block order keeps placement deterministic.
     fn place(&mut self, need: u16) -> DiskResult<u32> {
-        let cost_new_slot = need + SLOT as u16;
-        let candidate = self.space.iter().find_map(|(&b, sp)| {
-            let cost = if sp.free_slots > 0 {
-                need
-            } else {
-                cost_new_slot
-            };
-            if sp.free >= cost {
-                Some((b, false))
-            } else if sp.free + sp.dead >= cost {
-                Some((b, true))
-            } else {
-                None
-            }
-        });
-        match candidate {
-            Some((b, false)) => Ok(b),
-            Some((b, true)) => {
+        if let Some((b, compact)) = self.fit(need) {
+            if compact {
                 self.compact(b)?;
-                Ok(b)
             }
-            None => {
-                let b = self.alloc_block(KIND_SLOTTED)?;
-                let ps = self.page_size() as u16;
-                self.with_page_mut(b, |page| {
-                    write_u16(page, 3, ps) // free_ptr = page end
-                })?;
-                self.space.insert(
-                    b,
-                    PageSpace {
-                        free: ps - HDR as u16,
-                        dead: 0,
-                        free_slots: 0,
-                    },
-                );
-                Ok(b)
-            }
+            return Ok(b);
         }
+        let b = self.alloc_block(KIND_SLOTTED)?;
+        let ps = self.page_size() as u16;
+        self.with_page_mut(b, |page| {
+            write_u16(page, 3, ps) // free_ptr = page end
+        })?;
+        self.set_space(
+            b,
+            PageSpace {
+                free: ps - HDR as u16,
+                dead: 0,
+                free_slots: 0,
+            },
+        );
+        Ok(b)
     }
 
     /// Slide live payloads of page `b` to the high end, turning dead
@@ -347,18 +418,10 @@ impl HeapFile {
     fn compact(&mut self, b: u32) -> DiskResult<()> {
         let entries = self.with_page_mut(b, |page| {
             let ps = page.size();
-            let n = read_u16(page, 1)? as usize;
-            let mut entries: Vec<(u16, u16)> = (0..n)
-                .map(|s| {
-                    Ok((
-                        read_u16(page, HDR + s * SLOT)?,
-                        read_u16(page, HDR + s * SLOT + 2)?,
-                    ))
-                })
-                .collect::<DiskResult<_>>()?;
+            let mut entries = slot_entries(page)?;
             // Move highest-offset payloads first so writes never overlap
             // unmoved live bytes.
-            let mut order: Vec<usize> = (0..n).filter(|&s| entries[s].0 != 0).collect();
+            let mut order: Vec<usize> = (0..entries.len()).filter(|&s| entries[s].0 != 0).collect();
             order.sort_by_key(|&s| std::cmp::Reverse(entries[s].0));
             let mut top = ps as u16;
             for s in order {
@@ -383,7 +446,7 @@ impl HeapFile {
     /// the caller writes the body via the returned offset.
     fn bind_slot(&mut self, b: u32, body: &[u8]) -> DiskResult<HeapId> {
         let len = body.len() as u16;
-        let entries = self.with_page_mut(b, |page| {
+        let (slot, entries) = self.with_page_mut(b, |page| {
             let n = read_u16(page, 1)? as usize;
             let free_ptr = read_u16(page, 3)?;
             let slot = (0..n).find(|&s| matches!(read_u16(page, HDR + s * SLOT), Ok(0)));
@@ -399,22 +462,10 @@ impl HeapFile {
             };
             write_u16(page, HDR + s * SLOT, off)?;
             write_u16(page, HDR + s * SLOT + 2, len)?;
-            let total = read_u16(page, 1)? as usize;
-            let entries: Vec<(u16, u16)> = (0..total)
-                .map(|e| {
-                    Ok((
-                        read_u16(page, HDR + e * SLOT)?,
-                        read_u16(page, HDR + e * SLOT + 2)?,
-                    ))
-                })
-                .collect::<DiskResult<_>>()?;
-            Ok((s as u16, entries))
+            Ok((s as u16, slot_entries(page)?))
         })?;
-        self.recompute_space(b, &entries.1);
-        Ok(HeapId {
-            block: b,
-            slot: entries.0,
-        })
+        self.recompute_space(b, &entries);
+        Ok(HeapId { block: b, slot })
     }
 
     /// Store `payload`, returning its stable handle.
@@ -461,67 +512,62 @@ impl HeapFile {
         Ok(stub)
     }
 
-    /// Read one slot's raw body bytes.
-    fn read_slot(&mut self, id: HeapId, off: u16, len: u16) -> DiskResult<Vec<u8>> {
-        if off == 0 {
-            return Err(DiskError::State(format!(
-                "heap {}: read of erased slot {id}",
-                self.file
-            )));
-        }
-        self.with_page(id.block, |page| {
-            Ok(page.read_at(off as usize, len as usize)?.to_vec())
-        })
-    }
-
-    /// Slot-directory entry for `id`, verifying the page kind.
-    fn entry(&mut self, id: HeapId) -> DiskResult<(u16, u16)> {
+    /// Offset and body bytes of the live slot `id`, read under one pin
+    /// after verifying the page kind and the slot number.
+    fn slot(&mut self, id: HeapId) -> DiskResult<(u16, Vec<u8>)> {
         if id.block >= self.blocks {
             return Err(DiskError::State(format!(
                 "heap {}: block {} out of range",
                 self.file, id.block
             )));
         }
-        self.with_page(id.block, |page| {
+        let found = self.with_page(id.block, |page| {
             if page.as_slice()[0] != KIND_SLOTTED {
                 return Err(DiskError::State(format!(
                     "heap: {id} does not address a slotted page"
                 )));
             }
-            let n = read_u16(page, 1)?;
-            if id.slot >= n {
+            if id.slot >= read_u16(page, 1)? {
                 return Err(DiskError::State(format!("heap: no slot {id}")));
             }
-            Ok((
-                read_u16(page, HDR + id.slot as usize * SLOT)?,
-                read_u16(page, HDR + id.slot as usize * SLOT + 2)?,
-            ))
+            let off = read_u16(page, HDR + id.slot as usize * SLOT)?;
+            if off == 0 {
+                return Ok(None);
+            }
+            let len = read_u16(page, HDR + id.slot as usize * SLOT + 2)?;
+            Ok(Some((
+                off,
+                page.read_at(off as usize, len as usize)?.to_vec(),
+            )))
+        })?;
+        found.ok_or_else(|| {
+            DiskError::State(format!("heap {}: read of erased slot {id}", self.file))
         })
     }
 
     /// Fetch the payload stored at `id`.
     pub fn get(&mut self, id: HeapId) -> DiskResult<Vec<u8>> {
-        let (off, len) = self.entry(id)?;
-        let body = self.read_slot(id, off, len)?;
+        let (_, mut body) = self.slot(id)?;
         match body.first() {
-            Some(&INLINE) => Ok(body[1..].to_vec()),
+            Some(&INLINE) => {
+                body.remove(0);
+                Ok(body)
+            }
             Some(&SPILLED) => {
                 let (total, first) = parse_stub(&body)?;
                 let mut out = Vec::with_capacity(total);
                 let mut b = first;
                 while b != NO_BLOCK {
-                    let (next, chunk) = self.with_page(b, |page| {
+                    b = self.with_page(b, |page| {
                         if page.as_slice()[0] != KIND_OVERFLOW {
                             return Err(DiskError::Corrupt(format!(
                                 "heap: overflow chain of {id} hit non-overflow block {b}"
                             )));
                         }
-                        let next = read_u32(page, 1)?;
                         let clen = read_u16(page, 5)? as usize;
-                        Ok((next, page.read_at(OVF_HDR, clen)?.to_vec()))
+                        out.extend_from_slice(page.read_at(OVF_HDR, clen)?);
+                        read_u32(page, 1)
                     })?;
-                    out.extend_from_slice(&chunk);
-                    b = next;
                 }
                 if out.len() != total {
                     return Err(DiskError::Corrupt(format!(
@@ -537,46 +583,39 @@ impl HeapFile {
 
     /// Free the slot at `id` (and any overflow chain hanging off it).
     pub fn erase(&mut self, id: HeapId) -> DiskResult<()> {
-        let (off, len) = self.entry(id)?;
-        let body = self.read_slot(id, off, len)?;
+        let (_, body) = self.slot(id)?;
+        self.release_body(&body)?;
+        self.release_slot(id)?;
+        self.records -= 1;
+        Ok(())
+    }
+
+    /// Drop the live bytes of an erased or replaced slot body, freeing its
+    /// overflow chain if it spilled.
+    fn release_body(&mut self, body: &[u8]) -> DiskResult<()> {
         if let Some(&SPILLED) = body.first() {
-            let (total, first) = parse_stub(&body)?;
+            let (total, first) = parse_stub(body)?;
             self.free_chain(first)?;
             self.live_bytes -= total as u64;
         } else {
-            self.live_bytes -= (len as u64).saturating_sub(1);
+            self.live_bytes -= (body.len() as u64).saturating_sub(1);
         }
+        Ok(())
+    }
+
+    /// Clear slot `id`'s directory entry (the slot number stays
+    /// allocated, free for reuse) and refresh the page's free space.
+    fn release_slot(&mut self, id: HeapId) -> DiskResult<()> {
         let entries = self.with_page_mut(id.block, |page| {
             write_u16(page, HDR + id.slot as usize * SLOT, 0)?;
             write_u16(page, HDR + id.slot as usize * SLOT + 2, 0)?;
-            // If this payload was the lowest, free_ptr can retreat; leave
-            // it — recompute_space treats the gap as dead, and compaction
-            // reclaims it when needed.
-            let n = read_u16(page, 1)? as usize;
-            let entries: Vec<(u16, u16)> = (0..n)
-                .map(|e| {
-                    Ok((
-                        read_u16(page, HDR + e * SLOT)?,
-                        read_u16(page, HDR + e * SLOT + 2)?,
-                    ))
-                })
-                .collect::<DiskResult<_>>()?;
+            let entries = slot_entries(page)?;
+            // free_ptr may now sit below the lowest live payload: raise
+            // it, so the gap counts as free rather than dead.
+            write_u16(page, 3, lowest_live(&entries, page.size() as u16))?;
             Ok(entries)
         })?;
-        // free_ptr may now sit below the lowest live payload: fold the
-        // difference into the free (not dead) side by raising it.
-        self.with_page_mut(id.block, |page| {
-            let ps = page.size() as u16;
-            let low = entries
-                .iter()
-                .filter(|(o, _)| *o != 0)
-                .map(|(o, _)| *o)
-                .min()
-                .unwrap_or(ps);
-            write_u16(page, 3, low)
-        })?;
         self.recompute_space(id.block, &entries);
-        self.records -= 1;
         Ok(())
     }
 
@@ -602,25 +641,18 @@ impl HeapFile {
     /// in place, or after compaction — and only a page overflow relocates
     /// the record.
     pub fn update(&mut self, id: HeapId, payload: &[u8]) -> DiskResult<HeapId> {
-        let (off, len) = self.entry(id)?;
-        let old_body = self.read_slot(id, off, len)?;
+        let (off, old_body) = self.slot(id)?;
         let inline = payload.len() <= self.inline_max();
 
         // Fast path: same-size inline rewrite in place.
-        if inline && payload.len() + 1 == len as usize && old_body.first() == Some(&INLINE) {
+        if inline && payload.len() + 1 == old_body.len() && old_body.first() == Some(&INLINE) {
             self.with_page_mut(id.block, |page| page.write_at(off as usize + 1, payload))?;
             return Ok(id);
         }
 
         // General path: erase, then try to rebind the same slot on the
         // same page before falling back to a fresh placement.
-        if old_body.first() == Some(&SPILLED) {
-            let (total, first) = parse_stub(&old_body)?;
-            self.free_chain(first)?;
-            self.live_bytes -= total as u64;
-        } else {
-            self.live_bytes -= u64::from(len).saturating_sub(1);
-        }
+        self.release_body(&old_body)?;
         let body = if inline {
             let mut body = Vec::with_capacity(payload.len() + 1);
             body.push(INLINE);
@@ -631,30 +663,12 @@ impl HeapFile {
         };
         let need = body.len() as u16;
         // Free the old bytes (slot stays allocated to us).
-        let entries = self.with_page_mut(id.block, |page| {
-            write_u16(page, HDR + id.slot as usize * SLOT, 0)?;
-            write_u16(page, HDR + id.slot as usize * SLOT + 2, 0)?;
-            let ps = page.size() as u16;
-            let n = read_u16(page, 1)? as usize;
-            let entries: Vec<(u16, u16)> = (0..n)
-                .map(|e| {
-                    Ok((
-                        read_u16(page, HDR + e * SLOT)?,
-                        read_u16(page, HDR + e * SLOT + 2)?,
-                    ))
-                })
-                .collect::<DiskResult<_>>()?;
-            let low = entries
-                .iter()
-                .filter(|(o, _)| *o != 0)
-                .map(|(o, _)| *o)
-                .min()
-                .unwrap_or(ps);
-            write_u16(page, 3, low)?;
-            Ok(entries)
-        })?;
-        self.recompute_space(id.block, &entries);
-        let sp = self.space.get(&id.block).copied().unwrap_or_default();
+        self.release_slot(id)?;
+        let sp = self
+            .space
+            .get(id.block as usize)
+            .copied()
+            .unwrap_or_default();
         let new_id = if sp.free >= need {
             self.rebind(id, &body)?
         } else if sp.free + sp.dead >= need {
@@ -680,16 +694,7 @@ impl HeapFile {
             write_u16(page, 3, off)?;
             write_u16(page, HDR + id.slot as usize * SLOT, off)?;
             write_u16(page, HDR + id.slot as usize * SLOT + 2, len)?;
-            let n = read_u16(page, 1)? as usize;
-            let entries: Vec<(u16, u16)> = (0..n)
-                .map(|e| {
-                    Ok((
-                        read_u16(page, HDR + e * SLOT)?,
-                        read_u16(page, HDR + e * SLOT + 2)?,
-                    ))
-                })
-                .collect::<DiskResult<_>>()?;
-            Ok(entries)
+            slot_entries(page)
         })?;
         self.recompute_space(id.block, &entries);
         Ok(id)
@@ -701,20 +706,20 @@ impl HeapFile {
         f: &mut dyn FnMut(HeapId, Vec<u8>) -> DiskResult<()>,
     ) -> DiskResult<()> {
         for b in 0..self.blocks {
-            let slots = self.with_page(b, |page| {
+            let entries = self.with_page(b, |page| {
                 if page.as_slice()[0] != KIND_SLOTTED {
                     return Ok(Vec::new());
                 }
-                let n = read_u16(page, 1)?;
-                (0..n)
-                    .map(|s| Ok((s, read_u16(page, HDR + s as usize * SLOT)?)))
-                    .collect::<DiskResult<Vec<(u16, u16)>>>()
+                slot_entries(page)
             })?;
-            for (slot, off) in slots {
+            for (slot, &(off, _)) in entries.iter().enumerate() {
                 if off == 0 {
                     continue;
                 }
-                let id = HeapId { block: b, slot };
+                let id = HeapId {
+                    block: b,
+                    slot: slot as u16,
+                };
                 let payload = self.get(id)?;
                 f(id, payload)?;
             }
@@ -726,6 +731,29 @@ impl HeapFile {
     pub fn flush(&mut self) -> DiskResult<()> {
         self.bm.flush_all(None)
     }
+}
+
+/// A slotted page's directory: `(off, len)` per slot, `off == 0` free.
+fn slot_entries(page: &Page) -> DiskResult<Vec<(u16, u16)>> {
+    let n = read_u16(page, 1)? as usize;
+    (0..n)
+        .map(|s| {
+            Ok((
+                read_u16(page, HDR + s * SLOT)?,
+                read_u16(page, HDR + s * SLOT + 2)?,
+            ))
+        })
+        .collect()
+}
+
+/// Offset of the lowest live payload (`page_size` when none is live).
+fn lowest_live(entries: &[(u16, u16)], page_size: u16) -> u16 {
+    entries
+        .iter()
+        .filter(|(off, _)| *off != 0)
+        .map(|(off, _)| *off)
+        .min()
+        .unwrap_or(page_size)
 }
 
 fn read_u16(page: &Page, off: usize) -> DiskResult<u16> {

@@ -15,8 +15,8 @@
 //!   numbered physical ops with seeded fault injection ([`faults`]);
 //! * [`log`] — [`LogMgr`]: checksummed WAL records, LSNs, idempotent
 //!   torn-tail recovery;
-//! * [`buffer`] — [`BufferMgr`]: pin/unpin accounting, clock
-//!   replacement, flush-before-write WAL discipline;
+//! * [`buffer`] — [`BufferMgr`]: pin/unpin accounting, a block→frame
+//!   page table, clock replacement, flush-before-write WAL discipline;
 //! * [`durable`] — [`DurableNetworkDb`]: a [`crate::NetworkDb`] whose
 //!   outermost savepoint commits are logical redo records in the WAL,
 //!   checkpointed into paged snapshots behind a ping-pong manifest;

@@ -568,6 +568,15 @@ impl NetworkDb {
         }
     }
 
+    /// Heap slot of record `id` (`None` for in-memory databases and
+    /// unknown ids).
+    pub fn heap_id(&self, id: RecordId) -> Option<HeapId> {
+        match &self.records {
+            Backend::Mem(_) => None,
+            Backend::Heap(h) => h.dir.get(&id.0).copied(),
+        }
+    }
+
     /// Publish `heap.*` physical gauges (and nothing for Mem databases)
     /// into the ambient metrics sheet for RunReport assembly.
     pub fn publish_heap_gauges(&self) {

@@ -1,17 +1,24 @@
 //! Property tests for the disk substrate's safety invariants.
 //!
-//! Three families, per the durability PR's test plan:
+//! Four families:
 //!
 //! * random pin/unpin/write/flush interleavings never evict a pinned
 //!   page and always round-trip page bytes through the buffer pool;
+//! * the buffer pool's page table maps exactly its resident frames
+//!   through pins, dirtying, flushes, no-steal growth and trims, and a
+//!   paged database lays its records out identically at any pool size;
 //! * WAL recovery is idempotent — opening a log with a lost or torn
 //!   tail twice yields exactly the records and file bytes of opening
 //!   it once;
 //! * scratch directories clean up after themselves (the temp-dir
 //!   hygiene guard).
 
+use dbpc_datamodel::network::{FieldDef, NetworkSchema, RecordTypeDef, SetDef};
+use dbpc_datamodel::types::FieldType;
+use dbpc_datamodel::value::Value;
 use dbpc_storage::disk::tempdir::scratch_root;
-use dbpc_storage::disk::{BlockId, BufferMgr, DiskError, FileMgr, LogMgr, Page, TempDir};
+use dbpc_storage::disk::{BlockId, BufferMgr, DiskError, FileMgr, FrameId, LogMgr, Page, TempDir};
+use dbpc_storage::{NetworkDb, RecordId};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -124,6 +131,74 @@ proptest! {
         }
     }
 
+    /// Page-table consistency: through random pins, unpins, dirtying
+    /// writes, flushes, no-steal toggles (whose growth adds frames) and
+    /// trims, the table maps exactly the resident blocks to the frames
+    /// holding them, no block sits in two frames, and every pin sees the
+    /// block's modeled bytes.
+    #[test]
+    fn page_table_maps_exactly_the_resident_frames(
+        ops in prop::collection::vec((0u8..6, 0u64..BLOCKS, any::<u8>()), 1..60),
+    ) {
+        let dir = TempDir::new("page-table-prop").unwrap();
+        let fm = Arc::new(FileMgr::new(dir.path(), PAGE).unwrap());
+        let mut bm = BufferMgr::new(fm, CAPACITY).unwrap();
+        let mut expected: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut pinned: Vec<(FrameId, u64)> = Vec::new();
+        let mut no_steal = false;
+
+        for &(op, block, fill) in &ops {
+            match op {
+                0 => match bm.pin(&BlockId::new("data", block), None) {
+                    Ok(id) => {
+                        let exp = expected.entry(block).or_insert_with(|| vec![0u8; PAGE]);
+                        let got = bm.page(id).unwrap().read_at(0, PAGE).unwrap();
+                        prop_assert_eq!(&got, exp, "pin of block {} saw stale bytes", block);
+                        pinned.push((id, block));
+                    }
+                    Err(DiskError::BufferAbort { .. }) => prop_assert!(!no_steal),
+                    Err(e) => prop_assert!(false, "unexpected pin failure: {e}"),
+                },
+                1 if !pinned.is_empty() => {
+                    let (id, blk) = pinned[block as usize % pinned.len()];
+                    let off = fill as usize % (PAGE - 8);
+                    bm.page_mut(id).unwrap().write_at(off, &[fill; 8]).unwrap();
+                    bm.mark_dirty(id, 0).unwrap();
+                    expected.get_mut(&blk).unwrap()[off..off + 8].fill(fill);
+                }
+                2 if !pinned.is_empty() => {
+                    let (id, _) = pinned.remove(block as usize % pinned.len());
+                    bm.unpin(id).unwrap();
+                }
+                3 => bm.flush_all(None).unwrap(),
+                4 => {
+                    no_steal = !no_steal;
+                    bm.set_no_steal(no_steal);
+                }
+                // Trim only at a quiescent point, as its contract asks.
+                5 if pinned.is_empty() => bm.trim(),
+                _ => {}
+            }
+
+            let resident = bm.resident();
+            let blocks: BTreeSet<&BlockId> = resident.iter().map(|(b, _)| b).collect();
+            prop_assert_eq!(blocks.len(), resident.len(), "a block sits in two frames");
+            prop_assert!(resident.len() <= bm.capacity());
+            for (blk, id) in &resident {
+                prop_assert_eq!(bm.lookup(blk), Some(*id), "table misses resident {}", blk);
+            }
+            for b in 0..BLOCKS {
+                let blk = BlockId::new("data", b);
+                if !blocks.contains(&blk) {
+                    prop_assert_eq!(bm.lookup(&blk), None, "table maps evicted {}", blk);
+                }
+            }
+            for &(id, blk) in &pinned {
+                prop_assert_eq!(bm.lookup(&BlockId::new("data", blk)), Some(id));
+            }
+        }
+    }
+
     /// WAL recovery is idempotent: whatever tail a crash leaves — a
     /// staged-but-unflushed suffix, or garbage torn into the stream right
     /// after the durable prefix — recovering twice yields exactly the
@@ -190,6 +265,81 @@ proptest! {
             prop_assert_eq!(*lsn, i as u64 + 1);
             prop_assert_eq!(payload, &wal_payload(i, lens[i]));
         }
+    }
+}
+
+fn company_schema() -> NetworkSchema {
+    NetworkSchema::new("COMPANY-NAME")
+        .with_record(RecordTypeDef::new(
+            "DIV",
+            vec![FieldDef::new("DIV-NAME", FieldType::Char(20))],
+        ))
+        .with_record(RecordTypeDef::new(
+            "EMP",
+            vec![
+                FieldDef::new("EMP-NAME", FieldType::Char(25)),
+                FieldDef::new("AGE", FieldType::Int(2)),
+            ],
+        ))
+        .with_set(SetDef::system("ALL-DIV", "DIV", vec!["DIV-NAME"]))
+        .with_set(SetDef::owned("DIV-EMP", "DIV", "EMP", vec!["EMP-NAME"]))
+}
+
+/// Pool size is invisible to placement: a 20k-record paged build under
+/// a starved pool (4 frames), a pool of a few percent (96) and a pool far
+/// larger than the heap (65,536) puts every record in the same heap slot,
+/// fills the same number of pages and ends at the same fingerprint.
+#[test]
+fn paged_build_is_pool_size_invariant() {
+    const DIVS: usize = 20;
+    const EMPS: usize = 999;
+    let build = |pool: usize| {
+        let mut db = NetworkDb::new_paged(company_schema(), 512, pool).unwrap();
+        let mut ids = Vec::new();
+        for d in 0..DIVS {
+            let div = db
+                .store(
+                    "DIV",
+                    &[("DIV-NAME", Value::str(format!("DIV-{d:02}")))],
+                    &[],
+                )
+                .unwrap();
+            ids.push(div);
+            for e in 0..EMPS {
+                let name = format!("E{d:02}-{:04}", (e * 7919) % EMPS);
+                let age = 18 + (e % 50) as i64;
+                ids.push(
+                    db.store(
+                        "EMP",
+                        &[("EMP-NAME", Value::str(name)), ("AGE", Value::Int(age))],
+                        &[("DIV-EMP", div)],
+                    )
+                    .unwrap(),
+                );
+            }
+        }
+        // Some churn, so placement also reuses freed and compacted space.
+        for (i, &id) in ids.iter().enumerate().skip(1).step_by(97) {
+            if i % 2 == 0 {
+                db.erase(id, false).unwrap();
+            } else {
+                db.modify(id, &[("AGE", Value::Int(99))]).unwrap();
+            }
+        }
+        let slots: Vec<(RecordId, _)> = ids.iter().map(|&id| (id, db.heap_id(id))).collect();
+        (slots, db.heap_stats().unwrap(), db.fingerprint())
+    };
+    let (slots, stats, fingerprint) = build(4);
+    assert_eq!(slots.len(), DIVS * (EMPS + 1));
+    assert!(stats.pages > 96, "the 96-frame pool must be under pressure");
+    for pool in [96, 65_536] {
+        let (s, st, fp) = build(pool);
+        assert!(s == slots, "pool {pool}: heap slots differ from pool 4");
+        assert_eq!(st, stats, "pool {pool}: heap stats differ from pool 4");
+        assert_eq!(
+            fp, fingerprint,
+            "pool {pool}: fingerprint differs from pool 4"
+        );
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property tests for the out-of-core record store.
 //!
-//! Three families, per the heap-file PR's test plan:
+//! Four families:
 //!
 //! * a [`HeapFile`] under a deliberately tiny buffer pool (4 frames —
 //!   far smaller than the data) driven by random insert / erase /
@@ -12,12 +12,15 @@
 //!   the undo journal's logical records must exactly invert what the
 //!   heap backend did physically;
 //! * recovering a heap image twice yields the same database as
-//!   recovering it once, and both match the writer that produced it.
+//!   recovering it once, and both match the writer that produced it;
+//! * the heap's indexed placement chooses the same block and makes the
+//!   same compaction decision as a linear first fit over a free-space
+//!   map rebuilt from the page images on disk.
 
 use dbpc_datamodel::network::{FieldDef, NetworkSchema, RecordTypeDef, SetDef};
 use dbpc_datamodel::types::FieldType;
 use dbpc_datamodel::value::Value;
-use dbpc_storage::disk::{FileMgr, HeapFile, HeapId, TempDir};
+use dbpc_storage::disk::{BlockId, FileMgr, HeapFile, HeapId, Page, TempDir};
 use dbpc_storage::{NetworkDb, RecordId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -110,6 +113,84 @@ fn apply_ops(db: &mut NetworkDb, divs: &[RecordId], emps: &mut Vec<RecordId>, op
             _ => {}
         }
     }
+}
+
+/// Slotted-page format, as the reference reads it: kind tag, header
+/// bytes (kind + nslots + free_ptr), bytes per directory entry, the
+/// slot body of a spilled record, and the largest inline payload.
+const KIND_SLOTTED: u8 = 0xA5;
+const HDR: usize = 5;
+const SLOT: usize = 4;
+const STUB: usize = 9;
+const INLINE_MAX: usize = PAGE - HDR - SLOT - 1;
+
+/// One slotted page's free-space entry, as the heap defines it.
+#[derive(Debug, Clone, Copy)]
+struct Space {
+    block: u32,
+    free: u16,
+    dead: u16,
+    free_slots: u16,
+}
+
+fn u16_at(page: &Page, off: usize) -> u16 {
+    let b = page.read_at(off, 2).unwrap();
+    u16::from_le_bytes([b[0], b[1]])
+}
+
+/// Every block's kind and, for slotted pages, the free-space entry,
+/// recomputed from the flushed page images alone.
+fn disk_space(fm: &FileMgr) -> (Vec<u8>, Vec<Space>) {
+    let mut page = Page::new(PAGE);
+    let mut kinds = Vec::new();
+    let mut map = Vec::new();
+    for b in 0..fm.block_count("heap.dat").unwrap() {
+        fm.read(&BlockId::new("heap.dat", b), &mut page).unwrap();
+        let kind = page.as_slice()[0];
+        kinds.push(kind);
+        if kind != KIND_SLOTTED {
+            continue;
+        }
+        let n = u16_at(&page, 1) as usize;
+        let entries: Vec<(u16, u16)> = (0..n)
+            .map(|s| {
+                (
+                    u16_at(&page, HDR + s * SLOT),
+                    u16_at(&page, HDR + s * SLOT + 2),
+                )
+            })
+            .collect();
+        let live = entries.iter().filter(|e| e.0 != 0);
+        let free_ptr = live.clone().map(|e| e.0).min().unwrap_or(PAGE as u16);
+        let live_len: u16 = live.map(|e| e.1).sum();
+        map.push(Space {
+            block: b as u32,
+            free: free_ptr - (HDR + n * SLOT) as u16,
+            dead: (PAGE as u16 - free_ptr) - live_len,
+            free_slots: entries.iter().filter(|e| e.0 == 0).count() as u16,
+        });
+    }
+    (kinds, map)
+}
+
+/// The reference placement: linear first fit in block order over every
+/// slotted page, compacting when only free + dead bytes suffice.
+fn linear_first_fit(map: &[Space], len: usize) -> Option<(u32, bool)> {
+    let need = if len <= INLINE_MAX { len + 1 } else { STUB } as u16;
+    map.iter().find_map(|sp| {
+        let cost = if sp.free_slots > 0 {
+            need
+        } else {
+            need + SLOT as u16
+        };
+        if sp.free >= cost {
+            Some((sp.block, false))
+        } else if sp.free + sp.dead >= cost {
+            Some((sp.block, true))
+        } else {
+            None
+        }
+    })
 }
 
 fn seeded_paged_db() -> (NetworkDb, Vec<RecordId>) {
@@ -264,5 +345,82 @@ proptest! {
         prop_assert_eq!(once.state_bytes(), db.state_bytes());
         prop_assert_eq!(twice.state_bytes(), once.state_bytes());
         prop_assert_eq!(once.allocator_state(), db.allocator_state());
+    }
+
+    /// Placement oracle: over random inserts (inline and spilled),
+    /// erases that recycle overflow blocks, updates that grow, shrink or
+    /// relocate, rescans and reopens, the indexed placement agrees with
+    /// the linear first fit for every payload length after every step,
+    /// and each insert lands where both predicted — compacting the page
+    /// exactly when the reference says it must.
+    #[test]
+    fn indexed_placement_matches_linear_first_fit(
+        ops in prop::collection::vec((0u8..5, any::<u8>(), 1usize..300), 1..60),
+    ) {
+        let dir = TempDir::new("heap-fit-prop").unwrap();
+        let fm = Arc::new(FileMgr::new(dir.path(), PAGE).unwrap());
+        let mut heap = HeapFile::open(Arc::clone(&fm), "heap.dat", POOL).unwrap();
+        let mut live: Vec<HeapId> = Vec::new();
+
+        for (step, &(op, tag, len)) in ops.iter().enumerate() {
+            heap.flush().unwrap();
+            let (kinds, before) = disk_space(&fm);
+            match op {
+                0 | 1 => {
+                    // Inserts weighted double; short payloads pack pages
+                    // densely enough for compaction to matter.
+                    let len = if op == 0 { len % 40 + 1 } else { len };
+                    let predicted = linear_first_fit(&before, len);
+                    let indexed = heap.placement(len);
+                    prop_assert_eq!(indexed, predicted,
+                        "step {}: indexed {:?}, reference {:?}", step, indexed, predicted);
+                    let id = heap.insert(&payload(tag, len)).unwrap();
+                    live.push(id);
+                    heap.flush().unwrap();
+                    let (_, after) = disk_space(&fm);
+                    let dead = |map: &[Space]| {
+                        map.iter().find(|sp| sp.block == id.block).map(|sp| sp.dead)
+                    };
+                    match predicted {
+                        Some((b, compacted)) => {
+                            prop_assert_eq!(id.block, b, "step {}: wrong block", step);
+                            let expect = if compacted { Some(0) } else { dead(&before) };
+                            prop_assert_eq!(dead(&after), expect, "step {}: compaction", step);
+                        }
+                        None => {
+                            prop_assert!(dead(&before).is_none(), "step {}: reused a page", step);
+                            if len <= INLINE_MAX {
+                                // A new page recycles a virgin block when
+                                // there is one, else extends the file.
+                                let b = id.block as usize;
+                                let fresh = if kinds.contains(&0) {
+                                    kinds.get(b) == Some(&0)
+                                } else {
+                                    b == kinds.len()
+                                };
+                                prop_assert!(fresh, "step {}: new page {}", step, b);
+                            }
+                        }
+                    }
+                }
+                2 if !live.is_empty() => {
+                    let id = live.remove(tag as usize % live.len());
+                    heap.erase(id).unwrap();
+                }
+                3 if !live.is_empty() => {
+                    let i = tag as usize % live.len();
+                    live[i] = heap.update(live[i], &payload(tag, len)).unwrap();
+                }
+                3 => heap.rescan().unwrap(),
+                4 => heap = HeapFile::open(Arc::clone(&fm), "heap.dat", POOL).unwrap(),
+                _ => {}
+            }
+            heap.flush().unwrap();
+            let (_, map) = disk_space(&fm);
+            for len in 1..=PAGE {
+                prop_assert_eq!(heap.placement(len), linear_first_fit(&map, len),
+                    "step {}: placement of {} bytes", step, len);
+            }
+        }
     }
 }
