@@ -261,16 +261,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar.
+                    // Copy the whole run up to the next `"` or `\` at once.
+                    // Neither byte occurs inside a multi-byte UTF-8
+                    // sequence, so the run is a complete UTF-8 slice.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| "invalid utf8 in string".to_string())?;
-                    let ch = match s.chars().next() {
-                        Some(c) => c,
-                        None => return Err("unterminated string".to_string()),
-                    };
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -386,6 +388,48 @@ mod tests {
         let text = v.to_string();
         assert!(text.contains("\\u0001"));
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn non_ascii_text_mixed_with_every_escape_round_trips() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let v = Json::Arr(vec![
+            Json::Str(format!("é\"中文\\😀/{controls}ünï\tcodé")),
+            Json::Str("😀".to_string()),
+            Json::Str("\\\"é".to_string()),
+            Json::Str(String::new()),
+        ]);
+        let text = v.to_string();
+        let back = parse(&text).unwrap();
+        assert_eq!(back, v);
+        assert_eq!(back.to_string(), text);
+
+        // Escapes the writer never emits still decode, between multi-byte
+        // runs.
+        let spelled = r#""é\"中\\文\/😀\b\f\n\r\t\u00e9\u4e2dx""#;
+        assert_eq!(
+            parse(spelled).unwrap(),
+            Json::Str("é\"中\\文/😀\u{8}\u{c}\n\r\té中x".to_string())
+        );
+        assert!(parse("\"é").is_err());
+        assert!(parse("\"\\u00\"").is_err());
+    }
+
+    #[test]
+    fn multi_megabyte_document_round_trips() {
+        let item = Json::Obj(vec![
+            (
+                "name".to_string(),
+                Json::Str("stage.converter é中😀 \"q\"\n".repeat(8)),
+            ),
+            ("n".to_string(), Json::Int(-7)),
+        ]);
+        let v = Json::Arr(vec![item; 12_000]);
+        let text = v.to_string();
+        assert!(text.len() > 3_000_000, "{} bytes", text.len());
+        let back = parse(&text).unwrap();
+        assert_eq!(back, v);
+        assert_eq!(back.to_string(), text);
     }
 
     #[test]

@@ -33,7 +33,8 @@ impl std::error::Error for CodecError {}
 
 pub type CodecResult<T> = Result<T, CodecError>;
 
-fn fail(context: &'static str, detail: impl Into<String>) -> CodecError {
+/// Build a [`CodecError`]; also for decoders layered on this module.
+pub fn fail(context: &'static str, detail: impl Into<String>) -> CodecError {
     CodecError {
         context,
         detail: detail.into(),
