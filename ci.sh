@@ -19,15 +19,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 # The lock table (dbpc-storage) and the conversion service with its job
 # journal and crash recovery (dbpc-convert: service.rs + journal.rs) sit
 # under the same gates: both crates' lib targets are covered below. So
-# does the obs crate, whose JSON parser reads outside input (`obs_check`).
+# does the obs crate, whose JSON parser reads outside input (`obs_check`),
+# and the analyzer, DML and data-model crates every conversion parses and
+# analyzes through. dbpc-restructure (crossmodel.rs) and dbpc-emulate
+# (bridge.rs) still have unwraps to remove before they join the gate.
 # Scoped to the crates' lib targets (tests and benches may unwrap);
 # --no-deps keeps the extra lints from leaking into dependency crates.
-echo "==> cargo clippy (no unwrap/expect in storage + engine + convert + corpus + obs libs)"
+echo "==> cargo clippy (no unwrap/expect in storage + engine + convert + corpus + obs + analyzer + dml + datamodel libs)"
 cargo clippy -p dbpc-storage --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-engine --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-convert --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-corpus --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-obs --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+cargo clippy -p dbpc-analyzer --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+cargo clippy -p dbpc-dml --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+cargo clippy -p dbpc-datamodel --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 echo "==> cargo build --release"
 cargo build --release

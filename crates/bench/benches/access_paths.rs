@@ -22,6 +22,8 @@ use dbpc_dml::sequel::parse_sequel_program;
 use dbpc_engine::dli_exec::run_dli;
 use dbpc_engine::sequel_exec::run_sequel;
 use dbpc_engine::Inputs;
+use dbpc_obs::{local_snapshot, MetricsFrame};
+use dbpc_storage::stats::{INDEX_HITS, INDEX_PROBES, PREORDER_REBUILDS, ROWS_SCANNED};
 use dbpc_storage::{HierDb, RelationalDb};
 
 const ROWS: i64 = 2000;
@@ -101,6 +103,13 @@ fn forest(divs: usize, emps_per_div: usize) -> HierDb {
     db
 }
 
+/// Run `f` and return its result with the metrics it recorded.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, MetricsFrame) {
+    let before = local_snapshot();
+    let out = f();
+    (out, local_snapshot().since(&before))
+}
+
 fn main() {
     // ---- Relational: indexed SELECT vs. full scan -------------------------
     let query = parse_sequel_program(
@@ -115,19 +124,20 @@ END PROGRAM;",
     let mut scan_db = parts_db(false);
     let mut ix_db = parts_db(true);
 
-    let scan_trace = run_sequel(&mut scan_db, &query, Inputs::new()).unwrap();
-    let ix_trace = run_sequel(&mut ix_db, &query, Inputs::new()).unwrap();
+    let (scan_trace, scan) = measured(|| run_sequel(&mut scan_db, &query, Inputs::new()).unwrap());
+    let (ix_trace, ix) = measured(|| run_sequel(&mut ix_db, &query, Inputs::new()).unwrap());
     assert_eq!(
         scan_trace.events, ix_trace.events,
         "indexed and scanning SELECT must be observably identical"
     );
     let matches = (ROWS / CLASSES) as u64;
-    assert_eq!(scan_trace.access.rows_scanned, ROWS as u64);
+    assert_eq!(scan.counter(ROWS_SCANNED), ROWS as u64);
     assert_eq!(
-        ix_trace.access.rows_scanned, matches,
+        ix.counter(ROWS_SCANNED),
+        matches,
         "indexed SELECT must scan O(matches) rows"
     );
-    assert!(ix_trace.access.index_hits > 0);
+    assert!(ix.counter(INDEX_HITS) > 0);
 
     let scan_ns = median_ns(|| {
         run_sequel(&mut scan_db, &query, Inputs::new()).unwrap();
@@ -150,9 +160,9 @@ END PROGRAM.",
     .unwrap();
     let (divs, emps) = (20usize, 100usize);
     let mut walk_db = forest(divs, emps);
-    let walk_trace = run_dli(&mut walk_db, &walk, Inputs::new()).unwrap();
+    let (_, walk_run) = measured(|| run_dli(&mut walk_db, &walk, Inputs::new()).unwrap());
     assert!(
-        walk_trace.access.preorder_rebuilds <= 1,
+        walk_run.counter(PREORDER_REBUILDS) <= 1,
         "pure navigation must reuse the cached preorder"
     );
     let walk_ns = median_ns(|| {
@@ -178,9 +188,9 @@ END PROGRAM.",
     .unwrap();
     let mutations = 3u64; // 2 ISRT + 1 DLET
     let mut mix_db = forest(divs, emps);
-    let mix_trace = run_dli(&mut mix_db, &mix, Inputs::new()).unwrap();
+    let (_, mix_run) = measured(|| run_dli(&mut mix_db, &mix, Inputs::new()).unwrap());
     assert!(
-        mix_trace.access.preorder_rebuilds <= mutations + 1,
+        mix_run.counter(PREORDER_REBUILDS) <= mutations + 1,
         "rebuilds must be bounded by mutations + 1"
     );
 
@@ -195,18 +205,18 @@ END PROGRAM.",
     writeln!(
         w,
         "    \"scan\": {{ \"rows_scanned\": {}, \"index_probes\": {}, \"index_hits\": {}, \"median_ns\": {} }},",
-        scan_trace.access.rows_scanned,
-        scan_trace.access.index_probes,
-        scan_trace.access.index_hits,
+        scan.counter(ROWS_SCANNED),
+        scan.counter(INDEX_PROBES),
+        scan.counter(INDEX_HITS),
         scan_ns
     )
     .unwrap();
     writeln!(
         w,
         "    \"indexed\": {{ \"rows_scanned\": {}, \"index_probes\": {}, \"index_hits\": {}, \"median_ns\": {} }},",
-        ix_trace.access.rows_scanned,
-        ix_trace.access.index_probes,
-        ix_trace.access.index_hits,
+        ix.counter(ROWS_SCANNED),
+        ix.counter(INDEX_PROBES),
+        ix.counter(INDEX_HITS),
         ix_ns
     )
     .unwrap();
@@ -218,7 +228,7 @@ END PROGRAM.",
         w,
         "    \"full_traversal\": {{ \"gn_calls\": {}, \"preorder_rebuilds\": {}, \"median_ns\": {} }},",
         divs * emps + 1,
-        walk_trace.access.preorder_rebuilds,
+        walk_run.counter(PREORDER_REBUILDS),
         walk_ns
     )
     .unwrap();
@@ -226,7 +236,7 @@ END PROGRAM.",
         w,
         "    \"mutating_traversal\": {{ \"mutations\": {}, \"preorder_rebuilds\": {}, \"bound\": {} }}",
         mutations,
-        mix_trace.access.preorder_rebuilds,
+        mix_run.counter(PREORDER_REBUILDS),
         mutations + 1
     )
     .unwrap();

@@ -22,12 +22,17 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use dbpc_analyzer::cache::{CACHE_HITS, CACHE_MISSES};
 use dbpc_corpus::harness::{
-    cost_model, success_rate_study_config, CostParams, StudyConfig, StudyProfile,
+    cost_model, success_rate_study_config, CostParams, StudyConfig, CELLS_DONE, CONVERT_NS,
+    DB_BUILDS, DB_CLONES, DB_SHARED_RUNS, EQUIVALENCE_RUNS, GENERATE_NS, GENERATION_CACHE_HITS,
+    HOST_THREADS, PROGRAMS_GENERATED, SOURCE_TRACE_HITS, SOURCE_TRACE_MISSES, VERIFY_NS,
 };
 use dbpc_corpus::named::company_db;
+use dbpc_obs::{local_snapshot, MetricsFrame};
 use dbpc_restructure::data::translate;
-use dbpc_restructure::{stats as translation_stats, Transform};
+use dbpc_restructure::stats::{RECORDS_STORED, RECORD_TYPE_PREPS, SCHEMA_CLONES};
+use dbpc_restructure::Transform;
 use dbpc_storage::{NetworkDb, RecordId, SYSTEM_OWNER};
 
 /// Best-of-N wall clock. On a shared, single-core host, scheduler
@@ -94,9 +99,9 @@ fn cloning_rebuild(db: &NetworkDb) -> NetworkDb {
 
 struct MatrixRun {
     label: &'static str,
-    threads: usize,
     best_ns: u128,
-    profile: StudyProfile,
+    /// The study's merged metrics frame.
+    m: MetricsFrame,
 }
 
 fn main() {
@@ -143,9 +148,8 @@ fn main() {
         );
         runs.push(MatrixRun {
             label,
-            threads: study.profile.threads,
             best_ns: u128::MAX,
-            profile: study.profile,
+            m: study.report.metrics,
         });
     }
     // Interleave one timed run of every configuration per round, keeping
@@ -166,26 +170,27 @@ fn main() {
     // per-program database rebuilds for shared-base runs (update-free
     // programs) or clones (updating ones); the seed pipeline does none of
     // that.
-    assert_eq!(runs[0].profile.analysis_cache_hits, 0);
-    assert_eq!(runs[0].profile.generation_cache_hits, 0);
-    assert!(runs[1].profile.analysis_cache_hits > 0);
-    assert!(runs[1].profile.generation_cache_hits > 0);
-    assert_eq!(runs[0].profile.db_clones, 0);
-    assert_eq!(runs[0].profile.db_shared_runs, 0);
+    let (seed_m, tuned_m) = (&runs[0].m, &runs[1].m);
+    assert_eq!(seed_m.counter(CACHE_HITS), 0);
+    assert_eq!(seed_m.counter(GENERATION_CACHE_HITS), 0);
+    assert!(tuned_m.counter(CACHE_HITS) > 0);
+    assert!(tuned_m.counter(GENERATION_CACHE_HITS) > 0);
+    assert_eq!(seed_m.counter(DB_CLONES), 0);
+    assert_eq!(seed_m.counter(DB_SHARED_RUNS), 0);
     assert_eq!(
-        runs[1].profile.db_clones + runs[1].profile.db_shared_runs,
-        runs[1].profile.equivalence_runs + runs[1].profile.source_trace_misses
+        tuned_m.counter(DB_CLONES) + tuned_m.counter(DB_SHARED_RUNS),
+        tuned_m.counter(EQUIVALENCE_RUNS) + tuned_m.counter(SOURCE_TRACE_MISSES)
     );
-    assert!(runs[1].profile.db_shared_runs > 0);
+    assert!(tuned_m.counter(DB_SHARED_RUNS) > 0);
     // Base databases are built once per cell instead of once per program;
     // at one sample per cell the two coincide, so smoke mode only checks
     // the tuned pipeline never builds *more*.
     if samples > 1 {
-        assert!(runs[1].profile.db_builds < runs[0].profile.db_builds);
+        assert!(tuned_m.counter(DB_BUILDS) < seed_m.counter(DB_BUILDS));
     } else {
-        assert!(runs[1].profile.db_builds <= runs[0].profile.db_builds);
+        assert!(tuned_m.counter(DB_BUILDS) <= seed_m.counter(DB_BUILDS));
     }
-    assert!(runs[1].profile.source_trace_hits > 0);
+    assert!(tuned_m.counter(SOURCE_TRACE_HITS) > 0);
 
     // ---- E9 cost model under both pipelines -------------------------------
     let interactive_base = StudyConfig {
@@ -231,18 +236,20 @@ fn main() {
     let mut audits = Vec::new();
     for db in [&small_db, &large_db] {
         let records = db.records_of_type("DIV").len() + db.records_of_type("EMP").len();
-        let before = translation_stats::snapshot();
+        let before = local_snapshot();
         translate(db, &rename).unwrap();
-        let work = translation_stats::snapshot().since(&before);
+        let work = local_snapshot().since(&before);
         assert_eq!(
-            work.schema_clones, 1,
+            work.counter(SCHEMA_CLONES),
+            1,
             "one schema clone per translation, independent of N = {records}"
         );
         assert_eq!(
-            work.record_type_preps, 2,
+            work.counter(RECORD_TYPE_PREPS),
+            2,
             "one plan per record type (DIV, EMP), independent of N = {records}"
         );
-        assert_eq!(work.records_stored as usize, records);
+        assert_eq!(work.counter(RECORDS_STORED) as usize, records);
         audits.push((records, work));
     }
     let cloning_ns = best_ns(iters, || {
@@ -272,11 +279,11 @@ fn main() {
     writeln!(w, "  \"e2_matrix\": {{").unwrap();
     writeln!(w, "    \"samples_per_cell\": {samples},").unwrap();
     writeln!(w, "    \"seed\": {seed},").unwrap();
-    writeln!(w, "    \"cells\": {},", runs[0].profile.cells_done).unwrap();
+    writeln!(w, "    \"cells\": {},", seed_m.counter(CELLS_DONE)).unwrap();
     writeln!(
         w,
         "    \"programs\": {},",
-        runs[0].profile.programs_generated
+        seed_m.counter(PROGRAMS_GENERATED)
     )
     .unwrap();
     writeln!(w, "    \"identical_output\": true,").unwrap();
@@ -289,30 +296,34 @@ fn main() {
              \"source_trace_hits\": {}, \"source_trace_misses\": {}, \
              \"db_builds\": {}, \"db_clones\": {}, \"db_shared_runs\": {} }},",
             run.label,
-            run.threads,
+            run.m.gauge(HOST_THREADS),
             run.best_ns,
             speedup(seed_ns, run.best_ns),
-            run.profile.analysis_cache_hits,
-            run.profile.analysis_cache_misses,
-            run.profile.generation_cache_hits,
-            run.profile.source_trace_hits,
-            run.profile.source_trace_misses,
-            run.profile.db_builds,
-            run.profile.db_clones,
-            run.profile.db_shared_runs
+            run.m.counter(CACHE_HITS),
+            run.m.counter(CACHE_MISSES),
+            run.m.counter(GENERATION_CACHE_HITS),
+            run.m.counter(SOURCE_TRACE_HITS),
+            run.m.counter(SOURCE_TRACE_MISSES),
+            run.m.counter(DB_BUILDS),
+            run.m.counter(DB_CLONES),
+            run.m.counter(DB_SHARED_RUNS)
         )
         .unwrap();
     }
     writeln!(
         w,
         "    \"stage_ns_seed\": {{ \"generate\": {}, \"convert\": {}, \"verify\": {} }},",
-        runs[0].profile.generate_ns, runs[0].profile.convert_ns, runs[0].profile.verify_ns
+        seed_m.time_ns(GENERATE_NS),
+        seed_m.time_ns(CONVERT_NS),
+        seed_m.time_ns(VERIFY_NS)
     )
     .unwrap();
     writeln!(
         w,
         "    \"stage_ns_tuned\": {{ \"generate\": {}, \"convert\": {}, \"verify\": {} }}",
-        runs[1].profile.generate_ns, runs[1].profile.convert_ns, runs[1].profile.verify_ns
+        tuned_m.time_ns(GENERATE_NS),
+        tuned_m.time_ns(CONVERT_NS),
+        tuned_m.time_ns(VERIFY_NS)
     )
     .unwrap();
     writeln!(w, "  }},").unwrap();
@@ -334,7 +345,9 @@ fn main() {
             w,
             "    \"{name}\": {{ \"records\": {records}, \"schema_clones\": {}, \
              \"record_type_preps\": {}, \"records_stored\": {} }},",
-            work.schema_clones, work.record_type_preps, work.records_stored
+            work.counter(SCHEMA_CLONES),
+            work.counter(RECORD_TYPE_PREPS),
+            work.counter(RECORDS_STORED)
         )
         .unwrap();
     }

@@ -26,7 +26,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use dbpc_corpus::harness::{success_rate_study_config, StudyConfig};
+use dbpc_corpus::harness::{success_rate_study_config, StudyConfig, CELLS_DONE, EQUIVALENCE_RUNS};
 
 const PREMIUM_BUDGET: f64 = 0.05;
 
@@ -53,10 +53,11 @@ fn main() {
     // bare roots and its frame tallies nothing (the metric keys may linger
     // in the thread-local sheet from the warm run, but every delta is zero).
     assert!(recorded.report.node_count() > silent.report.node_count());
-    assert!(recorded.profile.cells_done > 0);
-    assert!(recorded.profile.equivalence_runs > 0);
-    assert_eq!(silent.profile.cells_done, 0);
-    assert_eq!(silent.profile.equivalence_runs, 0);
+    let (on, off) = (&recorded.report.metrics, &silent.report.metrics);
+    assert!(on.counter(CELLS_DONE) > 0);
+    assert!(on.counter(EQUIVALENCE_RUNS) > 0);
+    assert_eq!(off.counter(CELLS_DONE), 0);
+    assert_eq!(off.counter(EQUIVALENCE_RUNS), 0);
 
     let time_on = || {
         let t = Instant::now();

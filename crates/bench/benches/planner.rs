@@ -39,6 +39,8 @@ use dbpc_engine::dli_exec::run_dli;
 use dbpc_engine::scan::{set_plan_mode, PlanMode};
 use dbpc_engine::sequel_exec::run_sequel;
 use dbpc_engine::{Inputs, Trace};
+use dbpc_obs::{local_snapshot, MetricsFrame};
+use dbpc_storage::stats::{INDEX_HITS, INDEX_PROBES};
 use dbpc_storage::RelationalDb;
 
 fn parts_db(rows: i64, classes: i64) -> RelationalDb {
@@ -112,6 +114,13 @@ fn under<T>(mode: PlanMode, f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// [`under`], also returning the metrics `f` recorded.
+fn measured_under<T>(mode: PlanMode, f: impl FnOnce() -> T) -> (T, MetricsFrame) {
+    let before = local_snapshot();
+    let out = under(mode, f);
+    (out, local_snapshot().since(&before))
+}
+
 /// Paired interleaved timing: each round alternates which mode runs first
 /// and sums `iters` runs per mode; returns per-round (cost_based_ns,
 /// always_probe_ns). The gate consumes the round with the best baseline
@@ -166,7 +175,7 @@ WHERE CLASS = 'C3';
 END PROGRAM;",
     );
     let mut db = parts_db(select_rows, 10);
-    let t_cost = under(PlanMode::CostBased, || {
+    let (t_cost, m_cost) = measured_under(PlanMode::CostBased, || {
         run_sequel(&mut db, &query, Inputs::new()).unwrap()
     });
     let t_probe = under(PlanMode::AlwaysProbe, || {
@@ -174,7 +183,7 @@ END PROGRAM;",
     });
     assert_eq!(t_cost, t_probe, "e9_select: plan choice leaked into trace");
     assert!(
-        t_cost.access.index_hits > 0,
+        m_cost.counter(INDEX_HITS) > 0,
         "e9_select: cost-based planner must pick the probe here"
     );
     let e9_rounds = paired_rounds(rounds, iters, || {
@@ -248,19 +257,20 @@ WHERE CLASS = 'BULK' AND QTY = 3;
 END PROGRAM;",
     );
     let mut skew = skewed_db(skew_rows);
-    let t_cost = under(PlanMode::CostBased, || {
+    let (t_cost, m_cost) = measured_under(PlanMode::CostBased, || {
         run_sequel(&mut skew, &skew_query, Inputs::new()).unwrap()
     });
-    let t_probe = under(PlanMode::AlwaysProbe, || {
+    let (t_probe, m_probe) = measured_under(PlanMode::AlwaysProbe, || {
         run_sequel(&mut skew, &skew_query, Inputs::new()).unwrap()
     });
     assert_eq!(t_cost, t_probe, "skewed: plan choice leaked into trace");
     assert_eq!(
-        t_cost.access.index_probes, 0,
+        m_cost.counter(INDEX_PROBES),
+        0,
         "skewed: cost-based planner must refuse the majority-value probe"
     );
     assert!(
-        t_probe.access.index_probes > 0,
+        m_probe.counter(INDEX_PROBES) > 0,
         "skewed: the heuristic baseline must actually probe"
     );
     let skew_rounds = paired_rounds(rounds, iters, || {

@@ -31,7 +31,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use dbpc_corpus::harness::{success_rate_study_config, StudyConfig};
+use dbpc_corpus::harness::{success_rate_study_config, StudyConfig, DB_CLONES, DB_SHARED_RUNS};
 use dbpc_corpus::named;
 use dbpc_datamodel::value::Value;
 use dbpc_restructure::{translate_batched, BatchedOutcome};
@@ -211,11 +211,13 @@ fn main() {
     let (matrix_ns, study) = timed(1, || {
         success_rate_study_config(&StudyConfig::new(samples, 1979))
     });
+    let shared_runs = study.report.metrics.counter(DB_SHARED_RUNS);
     assert_eq!(
-        study.profile.db_clones, 0,
+        study.report.metrics.counter(DB_CLONES),
+        0,
         "verification must not clone working copies anymore"
     );
-    assert!(study.profile.db_shared_runs > 0);
+    assert!(shared_runs > 0);
 
     // ---- Emit artifact ----------------------------------------------------
     let mut json = String::new();
@@ -256,12 +258,7 @@ fn main() {
     writeln!(w, "  \"e2_matrix\": {{").unwrap();
     writeln!(w, "    \"wall_ns\": {matrix_ns},").unwrap();
     writeln!(w, "    \"db_clones\": 0,").unwrap();
-    writeln!(
-        w,
-        "    \"db_shared_runs\": {}",
-        study.profile.db_shared_runs
-    )
-    .unwrap();
+    writeln!(w, "    \"db_shared_runs\": {shared_runs}").unwrap();
     writeln!(w, "  }}").unwrap();
     writeln!(w, "}}").unwrap();
 

@@ -11,7 +11,7 @@
 //! cargo run -p dbpc-bench --bin cost_model --release [samples] [seed]
 //! ```
 
-use dbpc_corpus::harness::{cost_model, success_rate_study_interactive, CostParams};
+use dbpc_corpus::harness::{cost_model, success_rate_study_interactive, CostParams, HOST_THREADS};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -31,7 +31,7 @@ fn main() {
     println!("{report}");
     println!(
         "(matrix computed on {} thread(s); DBPC_THREADS to override)\n",
-        study.profile.threads
+        study.report.metrics.gauge(HOST_THREADS)
     );
 
     // Sensitivity: how do savings move with review cost?

@@ -9,8 +9,12 @@
 //! the paper's §2.1.1 report that 1970s computer-aided converters reached
 //! "a 65-70 percent success rate (sometimes higher)".
 
+use dbpc_analyzer::cache::{CACHE_HITS, CACHE_MISSES};
 use dbpc_corpus::gen::ProgramClass;
-use dbpc_corpus::harness::success_rate_study;
+use dbpc_corpus::harness::{
+    success_rate_study, CELLS_DONE, CONVERT_NS, DB_BUILDS, DB_CLONES, GENERATE_NS, HOST_THREADS,
+    PROGRAMS_GENERATED, VERIFY_NS,
+};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -21,21 +25,24 @@ fn main() {
     println!("== E2: success-rate study ({samples} samples per cell, seed {seed}) ==\n");
     println!("{study}");
 
-    let p = &study.profile;
+    let m = &study.report.metrics;
+    let ms = |name| m.time_ns(name) as f64 / 1e6;
     println!(
         "pipeline: {} thread(s) (DBPC_THREADS to override), {} cells, {} programs",
-        p.threads, p.cells_done, p.programs_generated
+        m.gauge(HOST_THREADS),
+        m.counter(CELLS_DONE),
+        m.counter(PROGRAMS_GENERATED)
     );
     println!(
         "          analysis cache {} hits / {} misses; {} db builds + {} clones; \
          gen {:.1}ms conv {:.1}ms verify {:.1}ms",
-        p.analysis_cache_hits,
-        p.analysis_cache_misses,
-        p.db_builds,
-        p.db_clones,
-        p.generate_ns as f64 / 1e6,
-        p.convert_ns as f64 / 1e6,
-        p.verify_ns as f64 / 1e6
+        m.counter(CACHE_HITS),
+        m.counter(CACHE_MISSES),
+        m.counter(DB_BUILDS),
+        m.counter(DB_CLONES),
+        ms(GENERATE_NS),
+        ms(CONVERT_NS),
+        ms(VERIFY_NS)
     );
     println!();
 

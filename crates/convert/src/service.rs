@@ -323,14 +323,15 @@ struct Breaker {
     probing: bool,
 }
 
-/// Gate one job through a context's breaker. `Err` means fast-fail.
-fn breaker_admit(config: &BreakerConfig, breaker: &Mutex<Breaker>) -> Result<(), PipelineError> {
+/// Gate one job through a context's breaker. `Err` means fast-fail;
+/// `Ok(true)` means the job is the half-open probe.
+fn breaker_admit(config: &BreakerConfig, breaker: &Mutex<Breaker>) -> Result<bool, PipelineError> {
     if config.threshold == 0 {
-        return Ok(());
+        return Ok(false);
     }
     let mut b = lock(breaker);
     match b.open_until {
-        None => Ok(()),
+        None => Ok(false),
         Some(until) if Instant::now() < until => Err(PipelineError::CircuitOpen {
             trips: u32::try_from(b.trips).unwrap_or(u32::MAX),
         }),
@@ -341,28 +342,33 @@ fn breaker_admit(config: &BreakerConfig, breaker: &Mutex<Breaker>) -> Result<(),
             // Cooldown over: half-open. Exactly one probe runs; everyone
             // else keeps fast-failing until the probe reports back.
             b.probing = true;
-            Ok(())
+            Ok(true)
         }
     }
 }
 
-/// Report a gated job's outcome back to its breaker.
-fn breaker_record(config: &BreakerConfig, breaker: &Mutex<Breaker>, success: bool) {
+/// Report a gated job's outcome back to its breaker. Only the probe may
+/// end the half-open state: a job admitted before the trip that finishes
+/// during it must not let a second probe through. A failed probe re-opens
+/// the breaker for a full cooldown, as a trip of its own.
+fn breaker_record(config: &BreakerConfig, breaker: &Mutex<Breaker>, probe: bool, success: bool) {
     if config.threshold == 0 {
         return;
     }
     let mut b = lock(breaker);
-    b.probing = false;
+    if probe {
+        b.probing = false;
+    }
     if success {
         b.consecutive = 0;
         b.open_until = None;
-    } else {
-        b.consecutive += 1;
-        if b.consecutive >= config.threshold {
-            b.trips += 1;
-            b.consecutive = 0;
-            b.open_until = Some(Instant::now() + config.cooldown);
-        }
+        return;
+    }
+    b.consecutive += 1;
+    if probe || b.consecutive >= config.threshold {
+        b.trips += 1;
+        b.consecutive = 0;
+        b.open_until = Some(Instant::now() + config.cooldown);
     }
 }
 
@@ -1321,15 +1327,16 @@ fn run_policied(
     key: u64,
     queued_at: Instant,
 ) -> (ConversionReport, Option<EquivalenceLevel>) {
-    if let Err(error) = breaker_admit(&config.breaker, breaker) {
-        return (failure_report(Verdict::NeedsManualWork, error), None);
-    }
+    let probe = match breaker_admit(&config.breaker, breaker) {
+        Ok(probe) => probe,
+        Err(error) => return (failure_report(Verdict::NeedsManualWork, error), None),
+    };
     let (report, level) = run_guarded(config, table, ctx, program, key, queued_at);
     // "Failure" for breaker purposes is the infrastructure kind — a job
     // demoted or poisoned mid-verification — not an analyst rejection,
     // which says nothing about the context's health.
     let healthy = !matches!(report.verdict, Verdict::NeedsManualWork | Verdict::Poisoned);
-    breaker_record(&config.breaker, breaker, healthy);
+    breaker_record(&config.breaker, breaker, probe, healthy);
     (report, level)
 }
 
@@ -1998,6 +2005,77 @@ END PROGRAM;",
         let b2 = lock(&breaker);
         assert_eq!(b2.open_until, None);
         assert!(!b2.probing);
+    }
+
+    /// A failed half-open probe re-opens the breaker for a full cooldown
+    /// and counts a trip, even when `threshold` is above one: the next job
+    /// fast-fails instead of being admitted as a fresh probe.
+    #[test]
+    fn failed_probe_reopens_the_breaker() {
+        let (b, ctx) = builder(ServiceConfig {
+            lock_timeout: Duration::from_millis(10),
+            retry: RetryPolicy {
+                retries: 0,
+                ..RetryPolicy::default()
+            },
+            breaker: BreakerConfig {
+                threshold: 2,
+                cooldown: Duration::from_millis(20),
+            },
+            ..ServiceConfig::default()
+        });
+        let table = LockTable::new();
+        let context = &b.contexts[ctx];
+        let breaker = Mutex::new(Breaker::default());
+        let blocked = LockRes::record_type(context.space_target(), "EMP");
+        table.x_lock(&blocked, Duration::from_secs(5)).unwrap();
+        let run = || {
+            run_policied(
+                &b.config,
+                &table,
+                context,
+                &breaker,
+                &read_only_program(),
+                0,
+                Instant::now(),
+            )
+        };
+        for _ in 0..2 {
+            assert_eq!(run().0.verdict, Verdict::NeedsManualWork);
+        }
+        assert_eq!(lock(&breaker).trips, 1);
+        // The cooldown runs out; the probe runs for real and, with the
+        // lock still held, fails.
+        std::thread::sleep(Duration::from_millis(25));
+        let (probe, _) = run();
+        assert!(
+            !probe
+                .fallbacks
+                .iter()
+                .any(|f| matches!(f.error, PipelineError::CircuitOpen { .. })),
+            "the probe must run, not fast-fail: {:?}",
+            probe.fallbacks
+        );
+        assert_eq!(probe.verdict, Verdict::NeedsManualWork);
+        // The next job fast-fails on the re-opened breaker.
+        let started = Instant::now();
+        let (report, _) = run();
+        assert!(
+            matches!(
+                report.fallbacks.last(),
+                Some(RungFailure {
+                    error: PipelineError::CircuitOpen { trips: 2 },
+                    ..
+                })
+            ),
+            "{:?}",
+            report.fallbacks
+        );
+        assert!(
+            started.elapsed() < Duration::from_millis(10),
+            "fast-fail must not wait on the lock"
+        );
+        table.unlock(&blocked, LockKind::Exclusive);
     }
 
     /// Admission control: a capacity-1 queue still completes every job,

@@ -811,7 +811,7 @@ END PROGRAM;",
             ..Supervisor::default()
         };
         dbpc_analyzer::cache::reset_cache();
-        let before = dbpc_analyzer::cache::cache_stats();
+        let before = dbpc_obs::local_snapshot();
         let r_memo_1 = memo
             .convert(&company_schema(), &fig_4_4(), &p, &mut AutoAnalyst)
             .unwrap();
@@ -821,9 +821,9 @@ END PROGRAM;",
         let r_fresh = fresh
             .convert(&company_schema(), &fig_4_4(), &p, &mut AutoAnalyst)
             .unwrap();
-        let delta = dbpc_analyzer::cache::cache_stats().since(&before);
-        assert_eq!(delta.misses, 1);
-        assert_eq!(delta.hits, 1);
+        let delta = dbpc_obs::local_snapshot().since(&before);
+        assert_eq!(delta.counter(dbpc_analyzer::cache::CACHE_MISSES), 1);
+        assert_eq!(delta.counter(dbpc_analyzer::cache::CACHE_HITS), 1);
         for r in [&r_memo_1, &r_memo_2, &r_fresh] {
             assert_eq!(r.verdict, r_memo_1.verdict);
             assert_eq!(r.questions, r_memo_1.questions);

@@ -14,7 +14,6 @@
 
 use crate::gen::{generate_program, ProgramClass, TransformClass};
 use crate::named::company_db;
-use crate::pool;
 use dbpc_convert::equivalence::{
     check_equivalence, judge_equivalence, source_trace, EquivalenceLevel,
 };
@@ -24,27 +23,38 @@ use dbpc_datamodel::error::PipelineError;
 use dbpc_datamodel::network::NetworkSchema;
 use dbpc_dml::host::Program;
 use dbpc_engine::{Inputs, Trace};
-use dbpc_obs::{MetricsFrame, MetricsRegistry, RunReport};
-use dbpc_storage::{NetworkDb, StatCatalog};
+use dbpc_obs::{MetricsRegistry, RunReport};
+use dbpc_storage::{pool, NetworkDb, StatCatalog};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-// Study-level metric names (the `study.*` slice of the merged frame; see
-// DESIGN.md for the old-field → metric-name migration table). Counters are
-// thread-count invariant; `Racy` names are shared-memo hit/miss splits and
-// scheduling-dependent run counts; `Time` names are wall-clock.
+// Study-level metric names (the `study.*` slice of the merged frame in
+// `StudyResult::report`; see DESIGN.md §7). Counters are thread-count
+// invariant; `Racy` names are shared-memo hit/miss splits and
+// scheduling-dependent run counts; `Time` names are wall-clock, summed
+// across workers.
 pub const CELLS_DONE: &str = "study.cells_done";
 pub const PROGRAMS_GENERATED: &str = "study.programs_generated";
+/// Programs served from the generation memo (still counted as generated).
 pub const GENERATION_CACHE_HITS: &str = "study.generation_cache_hits";
+/// Programs that converted automatically (with or without warnings).
 pub const PROGRAMS_CONVERTED: &str = "study.programs_converted";
 pub const EQUIVALENCE_RUNS: &str = "study.equivalence_runs";
+/// Ground-truth source-trace memo hits (reuse mode only); misses are
+/// actual source executions.
 pub const SOURCE_TRACE_HITS: &str = "study.source_trace_hits";
 pub const SOURCE_TRACE_MISSES: &str = "study.source_trace_misses";
+/// Verification databases built from scratch.
 pub const DB_BUILDS: &str = "study.db_builds";
+/// Verification databases cloned from a per-cell base. Always zero since
+/// the undo journal: the clone audit asserts the deep-copy path stayed
+/// deleted.
 pub const DB_CLONES: &str = "study.db_clones";
+/// Verification runs on a shared base database, inside a savepoint that
+/// is rolled back.
 pub const DB_SHARED_RUNS: &str = "study.db_shared_runs";
 pub const TRANSLATIONS: &str = "study.translations";
 pub const GENERATE_NS: &str = "study.generate_ns";
@@ -141,108 +151,22 @@ impl StudyRow {
     }
 }
 
-/// Diagnostic profile of one study run: work counters and per-stage
-/// wall-clock, aggregated across the pool's workers.
-///
-/// Since the `dbpc-obs` migration this is a *view* over the run's merged
-/// [`MetricsFrame`] ([`StudyProfile::from_frame`]), kept so benches and
-/// regression tests read named fields instead of string-keyed metrics. The
-/// recording itself goes through the ambient `dbpc_obs` sheet; the harness
-/// brackets each cell, ships the delta frame back from the worker, and
-/// merges in cell-index order.
-///
-/// Same contract as the storage engines' `AccessProfile`: the profile makes
-/// the pipeline's *work* observable for benches and regression tests, but it
-/// is never part of a result comparison — [`StudyResult`]'s `PartialEq` and
-/// `Display` both exclude it, so two runs at different thread counts (whose
-/// timings necessarily differ) still compare equal when their matrices do.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StudyProfile {
-    /// Worker threads the run actually used.
-    pub threads: usize,
-    /// (transform × program-class) cells completed.
-    pub cells_done: u64,
-    /// Programs generated across all cells.
-    pub programs_generated: u64,
-    /// Programs served from the generation memo instead of regenerated
-    /// (memoizing configurations only; still counted in
-    /// `programs_generated`).
-    pub generation_cache_hits: u64,
-    /// Programs that converted automatically (with or without warnings).
-    pub programs_converted: u64,
-    /// Execution-equivalence checks performed.
-    pub equivalence_runs: u64,
-    /// Program-analysis memo hits ([`dbpc_analyzer::cache`]).
-    pub analysis_cache_hits: u64,
-    /// Program-analysis memo misses.
-    pub analysis_cache_misses: u64,
-    /// Ground-truth source-trace memo hits (reuse mode only).
-    pub source_trace_hits: u64,
-    /// Ground-truth source-trace memo misses — actual source executions.
-    pub source_trace_misses: u64,
-    /// Verification databases built from scratch.
-    pub db_builds: u64,
-    /// Verification databases cloned from a per-cell base. Always zero
-    /// since the undo journal: kept so the clone audit can assert the
-    /// deep-copy path stayed deleted.
-    pub db_clones: u64,
-    /// Verification runs executed directly on a shared base database —
-    /// every run since the undo journal: updating programs run inside a
-    /// savepoint that is rolled back, so no working copy is ever needed.
-    pub db_shared_runs: u64,
-    /// Data translations performed.
-    pub translations: u64,
-    /// Wall-clock spent generating programs (summed across workers).
-    pub generate_ns: u64,
-    /// Wall-clock spent converting (summed across workers).
-    pub convert_ns: u64,
-    /// Wall-clock spent on execution verification (summed across workers).
-    pub verify_ns: u64,
-}
-
-impl StudyProfile {
-    /// Project a merged metrics frame onto the named-field profile. The
-    /// analysis-cache fields read the `dbpc_analyzer::cache` metric names;
-    /// everything else reads the `study.*` names above.
-    pub fn from_frame(frame: &MetricsFrame) -> StudyProfile {
-        StudyProfile {
-            threads: frame.gauge(HOST_THREADS).max(0) as usize,
-            cells_done: frame.counter(CELLS_DONE),
-            programs_generated: frame.counter(PROGRAMS_GENERATED),
-            generation_cache_hits: frame.counter(GENERATION_CACHE_HITS),
-            programs_converted: frame.counter(PROGRAMS_CONVERTED),
-            equivalence_runs: frame.counter(EQUIVALENCE_RUNS),
-            analysis_cache_hits: frame.counter(dbpc_analyzer::cache::CACHE_HITS),
-            analysis_cache_misses: frame.counter(dbpc_analyzer::cache::CACHE_MISSES),
-            source_trace_hits: frame.counter(SOURCE_TRACE_HITS),
-            source_trace_misses: frame.counter(SOURCE_TRACE_MISSES),
-            db_builds: frame.counter(DB_BUILDS),
-            db_clones: frame.counter(DB_CLONES),
-            db_shared_runs: frame.counter(DB_SHARED_RUNS),
-            translations: frame.counter(TRANSLATIONS),
-            generate_ns: frame.time_ns(GENERATE_NS),
-            convert_ns: frame.time_ns(CONVERT_NS),
-            verify_ns: frame.time_ns(VERIFY_NS),
-        }
-    }
-}
-
 /// The complete study result.
 ///
 /// Equality compares the *matrix* — rows and samples — and deliberately
-/// ignores the diagnostic [`StudyProfile`], so determinism tests can assert
-/// that runs at different thread counts produce the same result.
+/// ignores the diagnostic [`RunReport`], so determinism tests can assert
+/// that runs at different thread counts (whose timings necessarily differ)
+/// produce the same result.
 #[derive(Debug, Clone)]
 pub struct StudyResult {
     pub rows: Vec<StudyRow>,
     pub samples_per_cell: usize,
-    /// Work counters and stage timings (diagnostic only; a view over
-    /// `report.metrics`).
-    pub profile: StudyProfile,
     /// Structured observability for the run: per-cell span trees under one
-    /// renumbered logical clock, plus the full merged metrics frame.
-    /// Diagnostic like `profile` — excluded from equality — and exported
-    /// as JSON when `DBPC_OBS_JSON` names a path.
+    /// renumbered logical clock, plus the full merged metrics frame — the
+    /// study's work counters and stage timings under the `study.*` names
+    /// above, the `analyzer.cache_*` memo counters, and the
+    /// [`HOST_THREADS`] gauge. Diagnostic only — excluded from equality —
+    /// and exported as JSON when `DBPC_OBS_JSON` names a path.
     pub report: RunReport,
 }
 
@@ -475,12 +399,10 @@ pub fn success_rate_study_config(config: &StudyConfig) -> StudyResult {
     StatCatalog::of_network(&company_db(4, 3, 8)).publish(&mut registry);
     registry.set_gauge(HOST_THREADS, threads as i64);
     let report = RunReport::assemble("success-rate-study", captures, registry);
-    let profile = StudyProfile::from_frame(&report.metrics);
     export_report_if_requested(&report);
     StudyResult {
         rows,
         samples_per_cell: config.samples,
-        profile,
         report,
     }
 }
@@ -941,6 +863,7 @@ pub fn cost_model(study: &StudyResult, params: CostParams) -> CostReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbpc_analyzer::cache::{CACHE_HITS, CACHE_MISSES};
 
     #[test]
     fn study_runs_and_never_converts_wrongly() {
@@ -991,49 +914,47 @@ mod tests {
 
         let cells = (TransformClass::ALL.len() * ProgramClass::ALL.len()) as u64;
         let programs = cells * 2;
-        for p in [&tuned.profile, &baseline.profile] {
-            assert_eq!(p.threads, 1);
-            assert_eq!(p.cells_done, cells);
-            assert_eq!(p.programs_generated, programs);
-            assert_eq!(p.equivalence_runs, p.programs_converted);
+        let (t, b) = (&tuned.report.metrics, &baseline.report.metrics);
+        for m in [t, b] {
+            assert_eq!(m.gauge(HOST_THREADS), 1);
+            assert_eq!(m.counter(CELLS_DONE), cells);
+            assert_eq!(m.counter(PROGRAMS_GENERATED), programs);
+            assert_eq!(m.counter(EQUIVALENCE_RUNS), m.counter(PROGRAMS_CONVERTED));
         }
         // Memoization engages only in the tuned pipeline. (The caches may
         // be warm from earlier tests in this process, so assert on hits,
         // not misses.)
-        assert!(tuned.profile.analysis_cache_hits > 0);
-        assert!(tuned.profile.generation_cache_hits > 0);
-        assert_eq!(baseline.profile.analysis_cache_hits, 0);
-        assert_eq!(baseline.profile.analysis_cache_misses, 0);
-        assert_eq!(baseline.profile.generation_cache_hits, 0);
+        assert!(t.counter(CACHE_HITS) > 0);
+        assert!(t.counter(GENERATION_CACHE_HITS) > 0);
+        assert_eq!(b.counter(CACHE_HITS), 0);
+        assert_eq!(b.counter(CACHE_MISSES), 0);
+        assert_eq!(b.counter(GENERATION_CACHE_HITS), 0);
         // Database reuse: the tuned run builds/translates at most once per
         // cell and runs every program — updating or not — on the shared
         // bases under a rolled-back savepoint, so the deep-copy path stays
         // deleted; the baseline rebuilds and re-translates for every
         // program.
-        assert!(tuned.profile.db_builds <= cells);
-        assert_eq!(tuned.profile.db_clones, 0);
+        assert!(t.counter(DB_BUILDS) <= cells);
+        assert_eq!(t.counter(DB_CLONES), 0);
         assert_eq!(
-            tuned.profile.db_shared_runs,
-            tuned.profile.equivalence_runs + tuned.profile.source_trace_misses
+            t.counter(DB_SHARED_RUNS),
+            t.counter(EQUIVALENCE_RUNS) + t.counter(SOURCE_TRACE_MISSES)
         );
-        assert!(tuned.profile.db_shared_runs > 0);
-        assert_eq!(
-            baseline.profile.db_builds,
-            baseline.profile.programs_converted
-        );
-        assert_eq!(baseline.profile.db_clones, 0);
-        assert_eq!(baseline.profile.db_shared_runs, 0);
-        assert!(tuned.profile.db_builds < baseline.profile.db_builds);
+        assert!(t.counter(DB_SHARED_RUNS) > 0);
+        assert_eq!(b.counter(DB_BUILDS), b.counter(PROGRAMS_CONVERTED));
+        assert_eq!(b.counter(DB_CLONES), 0);
+        assert_eq!(b.counter(DB_SHARED_RUNS), 0);
+        assert!(t.counter(DB_BUILDS) < b.counter(DB_BUILDS));
         // Source-trace memoization: each verified program's ground truth is
         // computed at most once per worker; across the 8 transform rows the
         // recurrences are hits. The baseline never memoizes.
         assert_eq!(
-            tuned.profile.source_trace_hits + tuned.profile.source_trace_misses,
-            tuned.profile.equivalence_runs
+            t.counter(SOURCE_TRACE_HITS) + t.counter(SOURCE_TRACE_MISSES),
+            t.counter(EQUIVALENCE_RUNS)
         );
-        assert!(tuned.profile.source_trace_hits > 0);
-        assert_eq!(baseline.profile.source_trace_hits, 0);
-        assert_eq!(baseline.profile.source_trace_misses, 0);
+        assert!(t.counter(SOURCE_TRACE_HITS) > 0);
+        assert_eq!(b.counter(SOURCE_TRACE_HITS), 0);
+        assert_eq!(b.counter(SOURCE_TRACE_MISSES), 0);
     }
 }
 

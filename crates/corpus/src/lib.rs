@@ -16,15 +16,12 @@
 //!   class — the paper's §2.1.1 baseline is the 65–70 % band of 1970s
 //!   computer-aided converters) and the conversion cost model
 //!   (experiment E9: the GAO savings figure of §1).
-//! * [`pool`] — the deterministic scoped thread-pool the study harness
-//!   runs on: a fixed strided work partition plus index-ordered
-//!   reassembly makes every study result byte-identical at any thread
-//!   count (`DBPC_THREADS` selects the width). The implementation now
-//!   lives in `dbpc_storage::pool` so the conversion service (which the
-//!   corpus crate depends on, not the reverse) can share it; this
-//!   re-export keeps the historical `dbpc_corpus::pool` path working.
+//!
+//! The study harness runs on `dbpc_storage::pool`, the deterministic scoped
+//! thread-pool: a fixed strided work partition plus index-ordered
+//! reassembly makes every study result byte-identical at any thread count
+//! (`DBPC_THREADS` selects the width).
 
 pub mod gen;
 pub mod harness;
 pub mod named;
-pub use dbpc_storage::pool;

@@ -15,17 +15,15 @@
 //! so integrity-behavior differences between source and target schemas show
 //! up in the equivalence check, exactly as §3.1 requires.
 
+use crate::atomic::run_atomic;
 use crate::error::{RunError, RunResult};
 use crate::scan::{planner, AccessPath, PlanChoice, Project, Scan, Select, TableScan};
 use crate::trace::{Inputs, Trace, TraceEvent};
 use dbpc_datamodel::value::{cmp_tuple, Value};
 use dbpc_dml::expr::{BinOp, BoolExpr, Expr};
 use dbpc_dml::host::{FindExpr, FindSpec, ForSource, PathStart, Program, Stmt};
-use dbpc_storage::{
-    AccessProfile, DbError, DbResult, NetworkDb, RecordId, Savepoint, SYSTEM_OWNER,
-};
+use dbpc_storage::{AccessStats, DbError, DbResult, NetworkDb, RecordId, Savepoint, SYSTEM_OWNER};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// The owner-coupled-set DML surface the interpreter drives.
 ///
@@ -91,13 +89,11 @@ pub trait NetworkOps {
         None
     }
 
-    /// Snapshot of the layer's access-path counters, if it keeps any.
-    fn access_profile(&self) -> Option<AccessProfile> {
+    /// The layer's access-path counters, if it keeps any. Each run resets
+    /// them at start and absorbs them into the ambient metrics on exit.
+    fn access_stats(&self) -> Option<&AccessStats> {
         None
     }
-
-    /// Zero the layer's access-path counters before a run.
-    fn reset_access_stats(&mut self) {}
 
     // -- transaction hooks -------------------------------------------------
     //
@@ -192,12 +188,8 @@ impl NetworkOps for NetworkDb {
         Some(NetworkDb::type_cardinality(self, rtype))
     }
 
-    fn access_profile(&self) -> Option<AccessProfile> {
-        Some(self.access_stats().snapshot())
-    }
-
-    fn reset_access_stats(&mut self) {
-        self.access_stats().reset();
+    fn access_stats(&self) -> Option<&AccessStats> {
+        Some(NetworkDb::access_stats(self))
     }
 
     fn begin_savepoint(&mut self) -> Savepoint {
@@ -247,8 +239,9 @@ pub struct HostInterpreter<'d, D: NetworkOps> {
     step_limit: usize,
 }
 
-/// Run `program` against `db` with scripted `inputs`; returns the trace,
-/// carrying the ops layer's access-path counters when it keeps any.
+/// Run `program` against `db` with scripted `inputs`; returns the trace.
+/// The ops layer's access-path counters, when it keeps any, land in the
+/// ambient `storage.*` metrics.
 ///
 /// The run is atomic: it executes inside a savepoint that commits only
 /// when the program completes. A typed error, fuel exhaustion, or a panic
@@ -281,41 +274,12 @@ fn run_host_guarded<D: NetworkOps>(
     inputs: Inputs,
     fuel: Option<usize>,
 ) -> RunResult<Trace> {
-    dbpc_obs::span("engine.host", || {
-        db.reset_access_stats();
-        let sp = db.begin_savepoint();
-        let db_ref = &mut *db;
-        let outcome = catch_unwind(AssertUnwindSafe(move || {
-            let mut interp = HostInterpreter::new(db_ref, inputs);
-            if let Some(f) = fuel {
-                interp = interp.with_step_limit(f);
-            }
-            interp.run(program)
-        }));
-        // The run's access-path work flows into the ambient obs sheet on
-        // every exit path — observability is append-only even when the
-        // savepoint below rolls the data back.
-        let absorb = |db: &D| {
-            db.access_profile().unwrap_or_default().absorb_into_obs();
-        };
-        match outcome {
-            Ok(Ok(mut trace)) => {
-                db.commit_savepoint(sp);
-                trace.access = db.access_profile().unwrap_or_default();
-                absorb(db);
-                Ok(trace)
-            }
-            Ok(Err(e)) => {
-                absorb(db);
-                db.rollback_to(sp);
-                Err(e)
-            }
-            Err(payload) => {
-                absorb(db);
-                db.rollback_to(sp);
-                resume_unwind(payload)
-            }
+    run_atomic("engine.host", db, |db| {
+        let mut interp = HostInterpreter::new(db, inputs);
+        if let Some(f) = fuel {
+            interp = interp.with_step_limit(f);
         }
+        interp.run(program)
     })
 }
 

@@ -26,6 +26,7 @@
 //! * [`dli_exec`] — DL/I position/parentage machine over a
 //!   [`dbpc_storage::HierDb`].
 
+mod atomic;
 pub mod dbtg_exec;
 pub mod dli_exec;
 pub mod error;

@@ -8,6 +8,7 @@
 //! pins it, which is precisely the order-observability issue the converter
 //! must manage.
 
+use crate::atomic::run_atomic;
 use crate::error::{RunError, RunResult};
 use crate::scan::{planner, AccessPath, IndexScan, ProbeStats, Scan, Select, TableScan};
 use crate::trace::{Inputs, Trace, TraceEvent};
@@ -17,7 +18,7 @@ use dbpc_dml::CmpOp;
 use dbpc_storage::{DbError, RelationalDb};
 
 /// Run a SEQUEL program; each SELECT's rows are printed to the terminal.
-/// The returned trace carries the run's access-path counters.
+/// The run's access-path counters land in the ambient `storage.*` metrics.
 ///
 /// The run is atomic: a typed error or a panic (re-raised after cleanup)
 /// rolls the database back to its pre-run state. An *observable* abort —
@@ -28,31 +29,8 @@ pub fn run_sequel(
     program: &SequelProgram,
     inputs: Inputs,
 ) -> RunResult<Trace> {
-    dbpc_obs::span("engine.sequel", || {
-        db.access_stats().reset();
-        let sp = db.begin_savepoint();
-        let db_ref = &mut *db;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            run_sequel_inner(db_ref, program, inputs)
-        }));
-        match outcome {
-            Ok(Ok(mut trace)) => {
-                db.commit(sp);
-                trace.access = db.access_stats().snapshot();
-                trace.access.absorb_into_obs();
-                Ok(trace)
-            }
-            Ok(Err(e)) => {
-                db.access_stats().snapshot().absorb_into_obs();
-                db.rollback_to(sp);
-                Err(e)
-            }
-            Err(payload) => {
-                db.access_stats().snapshot().absorb_into_obs();
-                db.rollback_to(sp);
-                std::panic::resume_unwind(payload)
-            }
-        }
+    run_atomic("engine.sequel", db, |db| {
+        run_sequel_inner(db, program, inputs)
     })
 }
 
@@ -241,14 +219,14 @@ pub fn eval_select(db: &RelationalDb, q: &SelectQuery) -> RunResult<Vec<Vec<Valu
             planner::finish("sequel.select", choice, actual);
         }
         AccessPath::FullScan => {
-            let before = db.access_stats().snapshot().rows_scanned;
+            let before = db.access_stats().rows_scanned();
             let mut pipe = Select::new(TableScan::new(db.iter_rows(&q.table)?), |(_, row)| {
                 pred(row)
             });
             while let Some((_, row)) = pipe.next()? {
                 kept.push(row.to_vec());
             }
-            let actual = db.access_stats().snapshot().rows_scanned - before;
+            let actual = db.access_stats().rows_scanned() - before;
             planner::finish("sequel.select", choice, actual);
         }
     }

@@ -4,7 +4,6 @@
 //! converted program, run against the restructured database, produces a
 //! trace equal to the original program's trace against the source database.
 
-use dbpc_storage::AccessProfile;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
@@ -38,25 +37,15 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// An ordered sequence of observable events.
-#[derive(Debug, Clone, Default)]
+/// An ordered sequence of observable events. A run's access-path counters
+/// are not part of it: the paper's criterion is observable I/O, and
+/// converted programs are *expected* to take different access paths while
+/// producing identical output (§1.1, Fig. 4.1). They land in the ambient
+/// `storage.*` metrics instead.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     pub events: Vec<TraceEvent>,
-    /// Access-path counters for the run (rows scanned, index probes/hits,
-    /// preorder rebuilds). Diagnostic only: equality between traces
-    /// compares `events` alone, because the paper's criterion is observable
-    /// I/O — converted programs are *expected* to take different access
-    /// paths while producing identical output (§1.1, Fig. 4.1).
-    pub access: AccessProfile,
 }
-
-impl PartialEq for Trace {
-    fn eq(&self, other: &Trace) -> bool {
-        self.events == other.events
-    }
-}
-
-impl Eq for Trace {}
 
 impl Trace {
     pub fn new() -> Trace {

@@ -5,11 +5,12 @@
 //! The paper's Figure 4.1 puts a Conversion Program Supervisor over the
 //! Analyzer → Converter → Optimizer → Generator pipeline; §2's discussion
 //! of execution-time variability and strategy cost is unanswerable unless
-//! the supervisor can *see* what each component did. Before this crate the
-//! repo had three disjoint ad-hoc counter bags (the storage engines'
-//! `AccessProfile`, the study harness's `StudyProfile`, the restructure
-//! crate's translation work stats) and no stage timing or structured
-//! tracing at all. This crate replaces them with one substrate:
+//! the supervisor can *see* what each component did. This crate is the one
+//! substrate for that: every counter, gauge and timer in the workspace is a
+//! named metric on the ambient sheet, read through [`MetricsFrame`] by the
+//! name constant its recording crate exports (`storage.*`, `restructure.*`,
+//! `analyzer.*`, `study.*`, …). A unit of work's numbers are a
+//! [`local_snapshot`] delta: `local_snapshot().since(&before)`.
 //!
 //! * [`span`] — a `Span`/`Event` model under a **deterministic logical
 //!   clock**: monotonic per-run sequence numbers order everything;

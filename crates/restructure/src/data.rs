@@ -1001,10 +1001,17 @@ fn phase_erase(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{RECORDS_STORED, RECORD_TYPE_PREPS, SCHEMA_CLONES};
     use crate::transform::Transform;
     use dbpc_datamodel::network::{FieldDef, RecordTypeDef, SetDef};
     use dbpc_datamodel::types::FieldType;
     use dbpc_dml::expr::CmpOp;
+    use dbpc_obs::{local_snapshot, MetricsFrame};
+
+    /// The three `restructure.*` work counters of a metrics delta.
+    fn work(delta: &MetricsFrame) -> [u64; 3] {
+        [SCHEMA_CLONES, RECORD_TYPE_PREPS, RECORDS_STORED].map(|n| delta.counter(n))
+    }
 
     fn company_schema() -> NetworkSchema {
         NetworkSchema::new("COMPANY-NAME")
@@ -1291,9 +1298,9 @@ mod tests {
     fn crash_and_resume_matches_one_shot_at_every_boundary() {
         let src = company_db();
         let t = fig_4_4();
-        let before = crate::stats::snapshot();
+        let before = local_snapshot();
         let oneshot = translate(&src, &t).unwrap();
-        let oneshot_work = crate::stats::snapshot().since(&before);
+        let oneshot_work = work(&local_snapshot().since(&before));
         let mut k = 0usize;
         loop {
             let mut fired = false;
@@ -1312,9 +1319,7 @@ mod tests {
                 }
                 BatchedOutcome::Crashed(c) => c,
             };
-            let before = crate::stats::snapshot();
             let resumed = resume_translation(&src, &t, ckpt).unwrap();
-            let _ = crate::stats::snapshot().since(&before);
             assert_eq!(
                 resumed.fingerprint(),
                 oneshot.fingerprint(),
@@ -1326,12 +1331,12 @@ mod tests {
         assert!(k > 0, "batch=2 must produce at least one boundary");
         // Crashed-and-resumed work equals one-shot work: re-running the
         // whole matrix under crashes must not change the audit counters.
-        let before = crate::stats::snapshot();
+        let before = local_snapshot();
         let outcome = translate_batched(&src, &t, 2, &mut |b| b == 0).unwrap();
         if let BatchedOutcome::Crashed(c) = outcome {
             let _ = resume_translation(&src, &t, c).unwrap();
         }
-        let crashed_work = crate::stats::snapshot().since(&before);
+        let crashed_work = work(&local_snapshot().since(&before));
         assert_eq!(crashed_work, oneshot_work);
     }
 
@@ -1364,19 +1369,25 @@ mod tests {
         let mut per_n = Vec::new();
         for n in [8usize, 64] {
             let src = sized_company_db(n);
-            let before = crate::stats::snapshot();
+            let before = local_snapshot();
             translate(&src, &rename).unwrap();
-            let work = crate::stats::snapshot().since(&before);
+            let work = local_snapshot().since(&before);
             // One clone to seed the rebuilt target database; one plan per
             // record type (DIV + EMP); one store per record (1 DIV + N EMPs).
-            assert_eq!(work.schema_clones, 1, "N = {n}");
-            assert_eq!(work.record_type_preps, 2, "N = {n}");
-            assert_eq!(work.records_stored, n as u64 + 1, "N = {n}");
+            assert_eq!(work.counter(SCHEMA_CLONES), 1, "N = {n}");
+            assert_eq!(work.counter(RECORD_TYPE_PREPS), 2, "N = {n}");
+            assert_eq!(work.counter(RECORDS_STORED), n as u64 + 1, "N = {n}");
             per_n.push(work);
         }
         // Schema-level work identical at both sizes; record work scales.
-        assert_eq!(per_n[0].schema_clones, per_n[1].schema_clones);
-        assert_eq!(per_n[0].record_type_preps, per_n[1].record_type_preps);
-        assert!(per_n[1].records_stored > per_n[0].records_stored);
+        assert_eq!(
+            per_n[0].counter(SCHEMA_CLONES),
+            per_n[1].counter(SCHEMA_CLONES)
+        );
+        assert_eq!(
+            per_n[0].counter(RECORD_TYPE_PREPS),
+            per_n[1].counter(RECORD_TYPE_PREPS)
+        );
+        assert!(per_n[1].counter(RECORDS_STORED) > per_n[0].counter(RECORDS_STORED));
     }
 }

@@ -762,6 +762,7 @@ impl HierDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::PREORDER_REBUILDS;
     use dbpc_datamodel::network::FieldDef;
     use dbpc_datamodel::types::FieldType;
 
@@ -901,7 +902,7 @@ mod tests {
         }
         assert_eq!(walked, expected);
         // The whole walk reused one cache build (the preorder() call).
-        assert_eq!(db.access_stats().snapshot().preorder_rebuilds, 1);
+        assert_eq!(db.access_stats().absorbed().counter(PREORDER_REBUILDS), 1);
         // Type-filtered navigation.
         assert_eq!(db.next_in_preorder(None, Some("EMP")), Some(e1));
         assert_eq!(db.next_in_preorder(Some(e1), Some("EMP")), Some(e2));
@@ -924,13 +925,13 @@ mod tests {
         let _ = db.preorder(); // rebuild #2 after insert
         db.replace(a, &[("AGE", Value::Int(30))]).unwrap();
         // Non-sequence replace keeps the cache.
-        assert_eq!(db.access_stats().snapshot().preorder_rebuilds, 2);
+        assert_eq!(db.access_stats().absorbed().counter(PREORDER_REBUILDS), 2);
         db.check_access_structures().unwrap();
         db.replace(a, &[("EMP-NAME", Value::str("ZZ"))]).unwrap();
         db.delete(a).unwrap();
         let _ = db.preorder();
         db.check_access_structures().unwrap();
-        assert_eq!(db.access_stats().snapshot().preorder_rebuilds, 3);
+        assert_eq!(db.access_stats().absorbed().counter(PREORDER_REBUILDS), 3);
     }
 
     #[test]

@@ -41,5 +41,5 @@ pub use locks::{ConcurrencyMgr, LockError, LockKind, LockRes, LockTable, LockUni
 pub use network_db::{NetworkDb, RecordId, StoredRecord, SYSTEM_OWNER};
 pub use relational_db::{RelationalDb, RowId};
 pub use statcat::{IndexStats, SetStats, StatCatalog, TableStats, TypeStats};
-pub use stats::{AccessProfile, AccessStats};
+pub use stats::AccessStats;
 pub use txn::Savepoint;

@@ -750,6 +750,7 @@ fn pk_of_static(def: &TableDef, row: &[Value]) -> Option<KeyTuple> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{INDEX_HITS, INDEX_PROBES};
     use dbpc_datamodel::relational::ColumnDef;
     use dbpc_datamodel::types::FieldType;
 
@@ -944,15 +945,18 @@ mod tests {
         let mut db = RelationalDb::new(school()).unwrap();
         db.insert("COURSE", &[("CNO", Value::str("C1"))]).unwrap();
         db.insert("COURSE", &[("CNO", Value::str("C2"))]).unwrap();
-        let before = db.access_stats().snapshot();
+        let before = db.access_stats().absorbed();
         let hits = db
             .probe_eq("COURSE", &[("CNO".to_string(), Value::str("C2"))])
             .unwrap()
             .expect("pk fully bound");
         assert_eq!(hits.len(), 1);
-        let after = db.access_stats().snapshot();
-        assert_eq!(after.index_probes, before.index_probes + 1);
-        assert_eq!(after.index_hits, before.index_hits + 1);
+        let after = db.access_stats().absorbed();
+        assert_eq!(
+            after.counter(INDEX_PROBES),
+            before.counter(INDEX_PROBES) + 1
+        );
+        assert_eq!(after.counter(INDEX_HITS), before.counter(INDEX_HITS) + 1);
         // Unknown column → planner declines, scan path will report it.
         assert!(db
             .probe_eq("COURSE", &[("NOPE".to_string(), Value::Int(1))])
@@ -971,7 +975,7 @@ mod tests {
             .map(|(_, row)| row[0].to_string())
             .collect();
         assert_eq!(names, vec!["C2", "C1"]);
-        assert!(db.access_stats().snapshot().rows_scanned >= 2);
+        assert!(db.access_stats().rows_scanned() >= 2);
     }
 
     #[test]

@@ -7,14 +7,13 @@
 //! was not rebuilt per call) instead of inferring it from wall time.
 //!
 //! [`AccessStats`] lives inside each storage engine and uses `Cell` so the
-//! read-only query paths (`&self`) can count; [`AccessProfile`] is the
-//! plain-data snapshot surfaced in `dbpc_engine::trace::Trace`.
-//!
-//! Since PR 5 these counters also flow into the unified `dbpc-obs`
-//! metrics sheet under the `storage.*` names below. The engines keep
-//! their `Cell`s — query inner loops are far too hot for a map lookup
-//! per scanned row — and the executors absorb each run's delta into the
-//! ambient sheet once, post-run, via [`AccessProfile::absorb_into_obs`].
+//! read-only query paths (`&self`) can count. The counters are read through
+//! the unified `dbpc-obs` metrics sheet under the `storage.*` names below:
+//! the engines keep their `Cell`s — query inner loops are far too hot for
+//! a map lookup per scanned row — and the executors reset them at run
+//! start and absorb each run's counts into the ambient sheet once, on
+//! every exit, via [`AccessStats::absorb_into_obs`]. A run's numbers are
+//! the `dbpc_obs::local_snapshot()` delta around it.
 
 use std::cell::Cell;
 
@@ -63,13 +62,9 @@ impl AccessStats {
         self.preorder_rebuilds.set(self.preorder_rebuilds.get() + 1);
     }
 
-    pub fn snapshot(&self) -> AccessProfile {
-        AccessProfile {
-            rows_scanned: self.rows_scanned.get(),
-            index_probes: self.index_probes.get(),
-            index_hits: self.index_hits.get(),
-            preorder_rebuilds: self.preorder_rebuilds.get(),
-        }
+    /// Rows visited so far (the planner's actual-rows feedback for a scan).
+    pub fn rows_scanned(&self) -> u64 {
+        self.rows_scanned.get()
     }
 
     pub fn reset(&self) {
@@ -78,45 +73,36 @@ impl AccessStats {
         self.index_hits.set(0);
         self.preorder_rebuilds.set(0);
     }
-}
 
-/// Snapshot of [`AccessStats`] at a point in time (typically end of run).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AccessProfile {
-    /// Rows/segments/records visited by scans and residual predicates.
-    pub rows_scanned: u64,
-    /// Index lookups attempted (pk, secondary, calc-key, position map).
-    pub index_probes: u64,
-    /// Index lookups that found at least one candidate.
-    pub index_hits: u64,
-    /// Full rebuilds of the hierarchic preorder cache.
-    pub preorder_rebuilds: u64,
-}
-
-impl AccessProfile {
-    /// Push this profile (typically one run's delta) into the ambient
-    /// `dbpc-obs` metric sheet under the `storage.*` counter names.
+    /// Push the counts (one run's, after a [`reset`](Self::reset)) into
+    /// the ambient `dbpc-obs` metric sheet under the `storage.*` names.
     pub fn absorb_into_obs(&self) {
-        dbpc_obs::count(ROWS_SCANNED, self.rows_scanned);
-        dbpc_obs::count(INDEX_PROBES, self.index_probes);
-        dbpc_obs::count(INDEX_HITS, self.index_hits);
-        dbpc_obs::count(PREORDER_REBUILDS, self.preorder_rebuilds);
+        dbpc_obs::count(ROWS_SCANNED, self.rows_scanned.get());
+        dbpc_obs::count(INDEX_PROBES, self.index_probes.get());
+        dbpc_obs::count(INDEX_HITS, self.index_hits.get());
+        dbpc_obs::count(PREORDER_REBUILDS, self.preorder_rebuilds.get());
     }
+}
 
-    /// Read the `storage.*` access counters out of a merged metrics frame.
-    pub fn from_frame(frame: &dbpc_obs::MetricsFrame) -> AccessProfile {
-        AccessProfile {
-            rows_scanned: frame.counter(ROWS_SCANNED),
-            index_probes: frame.counter(INDEX_PROBES),
-            index_hits: frame.counter(INDEX_HITS),
-            preorder_rebuilds: frame.counter(PREORDER_REBUILDS),
-        }
+#[cfg(test)]
+impl AccessStats {
+    /// The counts as read through the metrics: one absorb's delta of the
+    /// ambient sheet.
+    pub(crate) fn absorbed(&self) -> dbpc_obs::MetricsFrame {
+        let before = dbpc_obs::local_snapshot();
+        self.absorb_into_obs();
+        dbpc_obs::local_snapshot().since(&before)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn absorbed(s: &AccessStats) -> [u64; 4] {
+        let d = s.absorbed();
+        [ROWS_SCANNED, INDEX_PROBES, INDEX_HITS, PREORDER_REBUILDS].map(|n| d.counter(n))
+    }
 
     #[test]
     fn counters_accumulate_and_reset() {
@@ -125,16 +111,8 @@ mod tests {
         s.probed(true);
         s.probed(false);
         s.rebuilt_preorder();
-        assert_eq!(
-            s.snapshot(),
-            AccessProfile {
-                rows_scanned: 5,
-                index_probes: 2,
-                index_hits: 1,
-                preorder_rebuilds: 1,
-            }
-        );
+        assert_eq!(absorbed(&s), [5, 2, 1, 1]);
         s.reset();
-        assert_eq!(s.snapshot(), AccessProfile::default());
+        assert_eq!(absorbed(&s), [0; 4]);
     }
 }

@@ -16,7 +16,16 @@ use dbpc::dml::sequel::parse_sequel_program;
 use dbpc::engine::dli_exec::run_dli;
 use dbpc::engine::sequel_exec::run_sequel;
 use dbpc::engine::Inputs;
+use dbpc::obs::{local_snapshot, MetricsFrame};
+use dbpc::storage::stats::{INDEX_HITS, PREORDER_REBUILDS, ROWS_SCANNED};
 use dbpc::storage::{HierDb, RelationalDb};
+
+/// Run `f` and return its result with the metrics it recorded.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, MetricsFrame) {
+    let before = local_snapshot();
+    let out = f();
+    (out, local_snapshot().since(&before))
+}
 
 const ROWS: i64 = 200;
 
@@ -63,10 +72,11 @@ fn indexed_select_scans_fewer_rows_with_identical_output() {
     let program = parse_sequel_program(CLASS_QUERY).unwrap();
 
     let mut scan_db = parts_db(false);
-    let scan_trace = run_sequel(&mut scan_db, &program, Inputs::new()).unwrap();
+    let (scan_trace, scan) =
+        measured(|| run_sequel(&mut scan_db, &program, Inputs::new()).unwrap());
 
     let mut ix_db = parts_db(true);
-    let ix_trace = run_sequel(&mut ix_db, &program, Inputs::new()).unwrap();
+    let (ix_trace, ix) = measured(|| run_sequel(&mut ix_db, &program, Inputs::new()).unwrap());
 
     // Byte-identical observable behavior…
     assert_eq!(scan_trace.events, ix_trace.events);
@@ -74,15 +84,15 @@ fn indexed_select_scans_fewer_rows_with_identical_output() {
     assert_eq!(ix_trace.events.len(), (ROWS / 10) as usize);
 
     // …from a measurably different access path.
-    assert_eq!(scan_trace.access.rows_scanned, ROWS as u64);
-    assert_eq!(scan_trace.access.index_hits, 0);
+    assert_eq!(scan.counter(ROWS_SCANNED), ROWS as u64);
+    assert_eq!(scan.counter(INDEX_HITS), 0);
     assert!(
-        ix_trace.access.rows_scanned < ROWS as u64,
+        ix.counter(ROWS_SCANNED) < ROWS as u64,
         "indexed run visited {} rows, expected fewer than {ROWS}",
-        ix_trace.access.rows_scanned
+        ix.counter(ROWS_SCANNED)
     );
-    assert_eq!(ix_trace.access.rows_scanned, (ROWS / 10) as u64);
-    assert!(ix_trace.access.index_hits > 0);
+    assert_eq!(ix.counter(ROWS_SCANNED), (ROWS / 10) as u64);
+    assert!(ix.counter(INDEX_HITS) > 0);
 }
 
 #[test]
@@ -155,15 +165,15 @@ DONE.
 END PROGRAM.",
     )
     .unwrap();
-    let trace = run_dli(&mut db, &program, Inputs::new()).unwrap();
+    let (trace, run) = measured(|| run_dli(&mut db, &program, Inputs::new()).unwrap());
     assert_eq!(trace.events.len(), 100);
     // Zero mutations in the program ⇒ preorder_rebuilds ≤ 0 + 1. This is
     // the amortization guarantee: the historical implementation paid a
     // full preorder materialization on every one of the 100+ GN calls.
     assert!(
-        trace.access.preorder_rebuilds <= 1,
+        run.counter(PREORDER_REBUILDS) <= 1,
         "full GN traversal rebuilt the preorder {} times",
-        trace.access.preorder_rebuilds
+        run.counter(PREORDER_REBUILDS)
     );
 }
 
@@ -188,11 +198,11 @@ DONE.
 END PROGRAM.",
     )
     .unwrap();
-    let trace = run_dli(&mut db, &program, Inputs::new()).unwrap();
+    let (_, run) = measured(|| run_dli(&mut db, &program, Inputs::new()).unwrap());
     let mutations = 3;
     assert!(
-        trace.access.preorder_rebuilds <= mutations + 1,
+        run.counter(PREORDER_REBUILDS) <= mutations + 1,
         "{} rebuilds for {mutations} mutations",
-        trace.access.preorder_rebuilds
+        run.counter(PREORDER_REBUILDS)
     );
 }

@@ -120,11 +120,5 @@ fn analysis_cache_hits_and_misses_account_for_every_lookup() {
             lookups,
             "cache hit/miss split lost lookups at {threads} threads"
         );
-        // The same identity must survive the StudyProfile projection the
-        // benches read.
-        assert_eq!(
-            run.profile.analysis_cache_hits + run.profile.analysis_cache_misses,
-            lookups
-        );
     }
 }

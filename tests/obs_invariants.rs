@@ -13,15 +13,30 @@
 //! 4. storage savepoint rollback never un-counts: observability is
 //!    append-only, so metrics survive the rollback of the work they
 //!    describe, and the savepoint ledger stays balanced.
+//!
+//! A fifth group pins the same property per executor, deterministically:
+//! a run that fails with a typed error after doing access work leaves
+//! that work in the ambient sheet, and the next run's numbers are its own.
 
 use dbpc::convert::report::AutoAnalyst;
 use dbpc::convert::Supervisor;
 use dbpc::corpus::gen::{generate_program, ProgramClass};
 use dbpc::corpus::named;
-use dbpc::engine::host_exec::run_host;
-use dbpc::engine::Inputs;
+use dbpc::dml::dbtg::parse_dbtg;
+use dbpc::dml::dli::parse_dli;
+use dbpc::dml::host::parse_program;
+use dbpc::dml::sequel::parse_sequel_program;
+use dbpc::engine::dbtg_exec::run_dbtg;
+use dbpc::engine::dli_exec::run_dli;
+use dbpc::engine::host_exec::{run_host, run_host_with_fuel};
+use dbpc::engine::sequel_exec::run_sequel;
+use dbpc::engine::{Inputs, RunError, RunResult, Trace};
 use dbpc::obs::span::{SpanKind, SpanNode};
-use dbpc::storage::stats::{SAVEPOINTS_BEGUN, SAVEPOINTS_COMMITTED, SAVEPOINTS_ROLLED_BACK};
+use dbpc::storage::stats::{
+    INDEX_HITS, INDEX_PROBES, PREORDER_REBUILDS, ROWS_SCANNED, SAVEPOINTS_BEGUN,
+    SAVEPOINTS_COMMITTED, SAVEPOINTS_ROLLED_BACK,
+};
+use dbpc::storage::DbError;
 use proptest::prelude::*;
 
 // -- 1. counter monotonicity ------------------------------------------------
@@ -193,4 +208,145 @@ proptest! {
             "savepoint ledger out of balance"
         );
     }
+}
+
+// -- 5. failed runs keep their access counts -------------------------------
+
+/// The four `storage.*` access counters `run` recorded, with its result.
+fn access_of(run: impl FnOnce() -> RunResult<Trace>) -> (RunResult<Trace>, [u64; 4]) {
+    let before = dbpc::obs::local_snapshot();
+    let result = run();
+    let delta = dbpc::obs::local_snapshot().since(&before);
+    let counts =
+        [ROWS_SCANNED, INDEX_PROBES, INDEX_HITS, PREORDER_REBUILDS].map(|n| delta.counter(n));
+    (result, counts)
+}
+
+/// Runs the failing program (`run(db, false)`), which must fail with
+/// `error`, then the good one (`run(db, true)`) twice. Returns the failed
+/// run's counters. The first good run's counters must equal the second's:
+/// each run resets the engine's counters at its start, so work a failed
+/// run did cannot inflate the run after it.
+fn failed_run_counts<D>(
+    db: &mut D,
+    error: RunError,
+    mut run: impl FnMut(&mut D, bool) -> RunResult<Trace>,
+) -> [u64; 4] {
+    let (result, failed) = access_of(|| run(db, false));
+    assert_eq!(result.unwrap_err(), error);
+    let (result, after_failure) = access_of(|| run(db, true));
+    result.unwrap();
+    let (result, after_success) = access_of(|| run(db, true));
+    result.unwrap();
+    assert_eq!(
+        after_failure, after_success,
+        "the failed run's work leaked into the next run's counts"
+    );
+    failed
+}
+
+#[test]
+fn failed_sequel_run_keeps_its_scan_counts() {
+    let mut db = named::personnel_relational_db(3, 4).unwrap();
+    let bad = parse_sequel_program(
+        "SEQUEL PROGRAM F;
+SELECT ENAME
+FROM EMP
+WHERE AGE > 30;
+SELECT ENAME
+FROM NOPE;
+END PROGRAM;",
+    )
+    .unwrap();
+    let good = parse_sequel_program(
+        "SEQUEL PROGRAM G;
+SELECT ENAME
+FROM EMP
+WHERE AGE > 30;
+END PROGRAM;",
+    )
+    .unwrap();
+    let [rows_scanned, ..] = failed_run_counts(
+        &mut db,
+        RunError::Db(DbError::unknown("table", "NOPE")),
+        |db, ok| run_sequel(db, if ok { &good } else { &bad }, Inputs::new()),
+    );
+    assert_eq!(rows_scanned, 12, "the full scan of EMP before the failure");
+}
+
+#[test]
+fn failed_dbtg_run_keeps_its_probe_counts() {
+    let mut db = named::personnel_network_db(3, 4).unwrap();
+    let bad = parse_dbtg(
+        "DBTG PROGRAM F.
+  MOVE 'E0001' TO E# IN EMP.
+  FIND ANY EMP USING E#.
+  GO TO NOWHERE.
+END PROGRAM.",
+    )
+    .unwrap();
+    let good = parse_dbtg(
+        "DBTG PROGRAM G.
+  MOVE 'E0001' TO E# IN EMP.
+  FIND ANY EMP USING E#.
+  STOP.
+END PROGRAM.",
+    )
+    .unwrap();
+    let [_, index_probes, index_hits, _] = failed_run_counts(
+        &mut db,
+        RunError::NoSuchLabel("NOWHERE".into()),
+        |db, ok| run_dbtg(db, if ok { &good } else { &bad }, Inputs::new()),
+    );
+    assert!(index_probes > 0 && index_hits > 0);
+}
+
+#[test]
+fn failed_dli_run_keeps_its_preorder_rebuild() {
+    let mut db = named::company_hier_db(2, 2, 4).unwrap();
+    let bad = parse_dli(
+        "DLI PROGRAM F.
+LOOP.
+  GN EMP.
+  IF STATUS GB GO TO NOWHERE.
+  GO TO LOOP.
+END PROGRAM.",
+    )
+    .unwrap();
+    let good = parse_dli(
+        "DLI PROGRAM G.
+LOOP.
+  GN EMP.
+  IF STATUS GB GO TO DONE.
+  GO TO LOOP.
+DONE.
+  STOP.
+END PROGRAM.",
+    )
+    .unwrap();
+    let [.., preorder_rebuilds] = failed_run_counts(
+        &mut db,
+        RunError::NoSuchLabel("NOWHERE".into()),
+        |db, ok| run_dli(db, if ok { &good } else { &bad }, Inputs::new()),
+    );
+    assert_eq!(preorder_rebuilds, 1, "the GN walk built the preorder once");
+}
+
+#[test]
+fn failed_host_run_keeps_its_scan_counts() {
+    let mut db = named::company_db(2, 2, 4);
+    let program = parse_program(
+        "PROGRAM R;
+  FIND E := FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-EMP, EMP(AGE > 30));
+  FOR EACH R IN E DO
+    PRINT R.EMP-NAME;
+  END FOR;
+END PROGRAM;",
+    )
+    .unwrap();
+    // The failing run has fuel for the FIND, not for the loop.
+    let [rows_scanned, ..] = failed_run_counts(&mut db, RunError::StepLimit, |db, ok| {
+        run_host_with_fuel(db, &program, Inputs::new(), if ok { 1_000 } else { 2 })
+    });
+    assert!(rows_scanned > 0);
 }

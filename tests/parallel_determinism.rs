@@ -13,7 +13,7 @@ use dbpc::convert::service::{CtxId, JobOutcome, ServiceBuilder, ServiceConfig, T
 use dbpc::convert::{FaultPlan, Supervisor};
 use dbpc::corpus::gen::{generate_program, ProgramClass};
 use dbpc::corpus::harness::{
-    cost_model, success_rate_study_config, CostParams, StudyConfig, StudyMatrix,
+    cost_model, success_rate_study_config, CostParams, StudyConfig, StudyMatrix, HOST_THREADS,
 };
 use dbpc::corpus::named;
 use dbpc::dml::host::parse_program;
@@ -34,9 +34,9 @@ fn e2_matrix_is_byte_identical_across_thread_counts() {
         })
         .collect();
     for (threads, run) in THREAD_COUNTS.iter().zip(&runs) {
-        // The requested width was honored (profile is diagnostic-only and
-        // excluded from the equality below).
-        assert_eq!(run.profile.threads, *threads);
+        // The requested width was honored (the run report is
+        // diagnostic-only and excluded from the equality below).
+        assert_eq!(run.report.metrics.gauge(HOST_THREADS), *threads as i64);
     }
     let reference = &runs[0];
     for run in &runs[1..] {

@@ -9,13 +9,24 @@
 //! restartable without re-doing (or double-doing) work, and without the
 //! crashed-and-resumed artifact being distinguishable from a clean one.
 
-use dbpc::corpus::{named, pool};
+use dbpc::corpus::named;
 use dbpc::datamodel::value::Value;
 use dbpc::dml::expr::CmpOp;
+use dbpc::obs::{local_snapshot, MetricsFrame};
+use dbpc::restructure::stats::{RECORDS_STORED, RECORD_TYPE_PREPS, SCHEMA_CLONES};
 use dbpc::restructure::{
-    resume_translation, stats, translate_batched, BatchedOutcome, Restructuring, Transform,
+    resume_translation, translate_batched, BatchedOutcome, Restructuring, Transform,
 };
-use dbpc::storage::NetworkDb;
+use dbpc::storage::{pool, NetworkDb};
+
+/// The three `restructure.*` translation-work counters, in that order.
+type Work = [u64; 3];
+
+/// The translation-work counters recorded since `before`.
+fn work_since(before: &MetricsFrame) -> Work {
+    let delta = local_snapshot().since(before);
+    [SCHEMA_CLONES, RECORD_TYPE_PREPS, RECORDS_STORED].map(|n| delta.counter(n))
+}
 
 /// Small enough to put several boundaries inside every phase of the small
 /// test database, so crashes land mid-copy, mid-promote, and mid-erase.
@@ -58,9 +69,9 @@ fn cases() -> Vec<(&'static str, NetworkDb, Transform)> {
 /// One uncrashed batched run: the reference output fingerprint, the
 /// reference per-run stats delta, and the number of batch boundaries the
 /// run consults (= the crash points to cover).
-fn one_shot(db: &NetworkDb, t: &Transform) -> (u64, stats::TranslationProfile, usize) {
+fn one_shot(db: &NetworkDb, t: &Transform) -> (u64, Work, usize) {
     let mut boundaries = 0;
-    let before = stats::snapshot();
+    let before = local_snapshot();
     let out = match translate_batched(db, t, BATCH, &mut |_| {
         boundaries += 1;
         false
@@ -71,21 +82,13 @@ fn one_shot(db: &NetworkDb, t: &Transform) -> (u64, stats::TranslationProfile, u
         BatchedOutcome::Crashed(_) => unreachable!("never-crash plan crashed"),
     };
     out.check_access_structures().unwrap();
-    (
-        out.fingerprint(),
-        stats::snapshot().since(&before),
-        boundaries,
-    )
+    (out.fingerprint(), work_since(&before), boundaries)
 }
 
 /// Crash at boundary `point`, resume from the checkpoint, and return the
 /// resumed output's fingerprint plus the whole crashed+resumed stats delta.
-fn crash_and_resume(
-    db: &NetworkDb,
-    t: &Transform,
-    point: usize,
-) -> (u64, stats::TranslationProfile) {
-    let before = stats::snapshot();
+fn crash_and_resume(db: &NetworkDb, t: &Transform, point: usize) -> (u64, Work) {
+    let before = local_snapshot();
     let ckpt = match translate_batched(db, t, BATCH, &mut |b| b == point).unwrap() {
         BatchedOutcome::Crashed(ckpt) => ckpt,
         BatchedOutcome::Complete(_) => panic!("crash at boundary {point} did not fire"),
@@ -99,7 +102,7 @@ fn crash_and_resume(
     );
     let out = resume_translation(db, t, ckpt).unwrap();
     out.check_access_structures().unwrap();
-    (out.fingerprint(), stats::snapshot().since(&before))
+    (out.fingerprint(), work_since(&before))
 }
 
 #[test]
@@ -139,15 +142,14 @@ fn crash_matrix_is_thread_count_invariant() {
             units.push((idx, point, want_fp, want_stats));
         }
     }
-    let run_unit =
-        |&(idx, point, want_fp, want_stats): &(usize, usize, u64, stats::TranslationProfile)| {
-            let (name, db, t) = cases().into_iter().nth(idx).unwrap();
-            let (fp, profile) = crash_and_resume(&db, &t, point);
-            assert_eq!(fp, want_fp, "{name} point {point}: output drifted");
-            assert_eq!(profile, want_stats, "{name} point {point}: stats drifted");
-            (fp, profile)
-        };
-    let reference: Vec<(u64, stats::TranslationProfile)> = units.iter().map(run_unit).collect();
+    let run_unit = |&(idx, point, want_fp, want_stats): &(usize, usize, u64, Work)| {
+        let (name, db, t) = cases().into_iter().nth(idx).unwrap();
+        let (fp, profile) = crash_and_resume(&db, &t, point);
+        assert_eq!(fp, want_fp, "{name} point {point}: output drifted");
+        assert_eq!(profile, want_stats, "{name} point {point}: stats drifted");
+        (fp, profile)
+    };
+    let reference: Vec<(u64, Work)> = units.iter().map(run_unit).collect();
     for threads in [1, 2, 8] {
         let got = pool::parallel_map(&units, threads, |_, unit| run_unit(unit));
         assert_eq!(got, reference, "matrix changed at {threads} threads");
