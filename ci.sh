@@ -21,11 +21,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # under the same gates: both crates' lib targets are covered below. So
 # does the obs crate, whose JSON parser reads outside input (`obs_check`),
 # and the analyzer, DML and data-model crates every conversion parses and
-# analyzes through. dbpc-restructure (crossmodel.rs) and dbpc-emulate
-# (bridge.rs) still have unwraps to remove before they join the gate.
+# analyzes through, the restructuring crate that translates the data and
+# maps it across models, and the emulation crate whose bridge diffs and
+# replays it.
 # Scoped to the crates' lib targets (tests and benches may unwrap);
 # --no-deps keeps the extra lints from leaking into dependency crates.
-echo "==> cargo clippy (no unwrap/expect in storage + engine + convert + corpus + obs + analyzer + dml + datamodel libs)"
+echo "==> cargo clippy (no unwrap/expect in storage + engine + convert + corpus + obs + analyzer + dml + datamodel + restructure + emulate libs)"
 cargo clippy -p dbpc-storage --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-engine --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-convert --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
@@ -34,6 +35,8 @@ cargo clippy -p dbpc-obs --lib --no-deps -- -D warnings -D clippy::unwrap_used -
 cargo clippy -p dbpc-analyzer --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-dml --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 cargo clippy -p dbpc-datamodel --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+cargo clippy -p dbpc-restructure --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+cargo clippy -p dbpc-emulate --lib --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 echo "==> cargo build --release"
 cargo build --release

@@ -232,16 +232,11 @@ pub fn compute_diff(before: &NetworkDb, after: &NetworkDb) -> DbResult<Different
                     }
                 }
             }
-            let rt = schema.record(&r.name).unwrap();
-            let values: Vec<(String, Value)> = rt
+            let rec = after.get(*id)?;
+            let values: Vec<(String, Value)> = r
                 .stored_field_indices()
                 .into_iter()
-                .map(|i| {
-                    (
-                        rt.fields[i].name.clone(),
-                        after.get(*id).unwrap().values[i].clone(),
-                    )
-                })
+                .map(|i| (r.fields[i].name.clone(), rec.values[i].clone()))
                 .collect();
             ops.push(DiffOp::Store {
                 rtype: r.name.clone(),
@@ -254,13 +249,12 @@ pub fn compute_diff(before: &NetworkDb, after: &NetworkDb) -> DbResult<Different
             let b = snapshot(before, *id)?;
             let a = snapshot(after, *id)?;
             if a != b {
-                let rt = schema.record(&r.name).unwrap();
-                let assigns: Vec<(String, Value)> = rt
+                let assigns: Vec<(String, Value)> = r
                     .stored_field_indices()
                     .into_iter()
                     .enumerate()
                     .filter(|(k, _)| !a[*k].loose_eq(&b[*k]) || a[*k].is_null() != b[*k].is_null())
-                    .map(|(k, i)| (rt.fields[i].name.clone(), a[k].clone()))
+                    .map(|(k, i)| (r.fields[i].name.clone(), a[k].clone()))
                     .collect();
                 if !assigns.is_empty() {
                     ops.push(DiffOp::Modify {

@@ -793,6 +793,7 @@ fn phase_promote_members(
     let promoted_idx = rt
         .field_index(field)
         .ok_or_else(|| DbError::unknown("field", field))?;
+    let promoted_virtual = rt.fields[promoted_idx].is_virtual();
     let stored_fields: Vec<(usize, &str)> = rt
         .fields
         .iter()
@@ -818,7 +819,11 @@ fn phase_promote_members(
         let mut connects: Vec<(&str, RecordId)> = Vec::with_capacity(other_sets.len() + 1);
         match db.owner_in(via_set, old_id)? {
             Some(owner) => {
-                let v = db.field_value(old_id, field)?;
+                let v = if promoted_virtual {
+                    db.field_value(old_id, field)?
+                } else {
+                    old_rec.values[promoted_idx].clone()
+                };
                 let group = st
                     .group_map
                     .get(&(owner, KeyTuple(vec![v])))

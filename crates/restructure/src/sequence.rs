@@ -43,13 +43,13 @@ impl Restructuring {
         Ok(s)
     }
 
-    /// Translate a database across all transforms, in order.
+    /// Translate a database across all transforms, in order. `db` is
+    /// only read: the first transform reads it in place and each later
+    /// one reads the previous step's output, so a paged source is never
+    /// copied and the only pages written belong to the targets. An empty
+    /// sequence returns a clone of `db`.
     pub fn translate(&self, db: &NetworkDb) -> DbResult<NetworkDb> {
-        let mut d = db.clone();
-        for t in &self.transforms {
-            d = translate(&d, t)?;
-        }
-        Ok(d)
+        self.fold(db, translate)
     }
 
     /// Like [`Restructuring::translate`], but each transform's rebuild
@@ -64,16 +64,28 @@ impl Restructuring {
         batch: usize,
         crash: &mut dyn FnMut(usize) -> bool,
     ) -> DbResult<NetworkDb> {
-        let mut d = db.clone();
-        for t in &self.transforms {
-            d = match crate::data::translate_batched(&d, t, batch, crash)? {
-                crate::data::BatchedOutcome::Complete(out) => out,
+        self.fold(db, |src, t| {
+            match crate::data::translate_batched(src, t, batch, crash)? {
+                crate::data::BatchedOutcome::Complete(out) => Ok(out),
                 crate::data::BatchedOutcome::Crashed(ckpt) => {
-                    crate::data::resume_translation(&d, t, ckpt)?
+                    crate::data::resume_translation(src, t, ckpt)
                 }
-            };
-        }
-        Ok(d)
+            }
+        })
+    }
+
+    /// Run `step` over the transforms in order, the first reading `db`
+    /// in place and each later one the previous output.
+    fn fold(
+        &self,
+        db: &NetworkDb,
+        mut step: impl FnMut(&NetworkDb, &Transform) -> DbResult<NetworkDb>,
+    ) -> DbResult<NetworkDb> {
+        let Some((first, rest)) = self.transforms.split_first() else {
+            return Ok(db.clone());
+        };
+        let first = step(db, first)?;
+        rest.iter().try_fold(first, |d, t| step(&d, t))
     }
 
     /// The inverse sequence (reversed inverses), if every step has one.

@@ -31,6 +31,7 @@ use dbpc_datamodel::value::Value;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 /// Identifier of a stored record. `RecordId(0)` is the SYSTEM pseudo-owner.
@@ -190,10 +191,11 @@ type PersistedLinks = Vec<(String, u64, u64)>;
 /// `Mem` is the original representation: every [`StoredRecord`] in a
 /// `BTreeMap`, bounded by RAM. `Heap` pages records through a slotted
 /// [`HeapFile`] under a capped buffer pool, so database size is bounded
-/// by disk; all derived structures (set stores, `by_type` lists,
-/// calc-key indexes) stay in RAM as indexes over record ids, and the
-/// id → [`HeapId`] directory is the one structure that grows with the
-/// record count (two words per record).
+/// by disk. Its own RAM cost per record is one word: the id → [`HeapId`]
+/// directory is a vector indexed by record id ([`HeapDir`]). The derived
+/// structures (set stores, `by_type` lists, calc-key indexes) stay in
+/// RAM as indexes over record ids, shared with `Mem`, and also grow with
+/// the record count.
 enum Backend {
     Mem(BTreeMap<u64, StoredRecord>),
     Heap(Box<HeapBackend>),
@@ -203,7 +205,7 @@ impl std::fmt::Debug for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Backend::Mem(m) => write!(f, "Mem({} records)", m.len()),
-            Backend::Heap(h) => write!(f, "Heap({} records)", h.dir.len()),
+            Backend::Heap(h) => write!(f, "Heap({} records)", h.dir.live),
         }
     }
 }
@@ -218,11 +220,8 @@ struct HeapBackend {
     /// Base pool capacity, remembered for `fresh_like` and `clone`.
     pool: usize,
     heap: RefCell<HeapFile>,
-    /// Logical record id → physical slot, ascending (= creation) order.
-    dir: BTreeMap<u64, HeapId>,
-    /// Record types by id — kept in RAM so type dispatch, `by_type`
-    /// bookkeeping, and erase paths never fault a page in.
-    rtypes: BTreeMap<u64, String>,
+    /// Logical record id → physical slot.
+    dir: HeapDir,
     /// Records whose set links changed since the last `sync_links`
     /// (payload link sections are refreshed lazily, at checkpoints).
     link_dirty: BTreeSet<u64>,
@@ -240,18 +239,92 @@ impl HeapBackend {
     }
 
     fn fetch(&self, id: u64) -> Option<StoredRecord> {
-        let hid = *self.dir.get(&id)?;
+        Some(self.read(id, self.dir.get(id)?))
+    }
+
+    /// Decode record `id` from its heap slot `hid`. Panics on disk or
+    /// codec errors: the directory only holds slots this heap handed out.
+    fn read(&self, id: u64, hid: HeapId) -> StoredRecord {
         let bytes = self
             .with_heap(|h| h.get(hid))
             .unwrap_or_else(|e| panic!("heap record #{id} unreadable: {e}"));
         let (rec, _) =
             decode_record(&bytes).unwrap_or_else(|e| panic!("heap record #{id} undecodable: {e}"));
-        Some(rec)
+        rec
     }
 
     /// Current physical statistics of the heap file.
     fn stats(&self) -> HeapStats {
         self.heap.borrow().stats()
+    }
+}
+
+/// The paged backend's id directory. Record ids are allocated densely
+/// from 1, so entry `id` of a vector holds record `id`'s heap slot,
+/// packed into one word; `None` marks an id that is erased or was never
+/// stored. Trailing `None`s are trimmed, so the last entry, if any, is
+/// the highest live id. A hole in the middle costs one word.
+#[derive(Default)]
+struct HeapDir {
+    slots: Vec<Option<NonZeroU64>>,
+    /// Number of `Some` entries.
+    live: usize,
+}
+
+impl HeapDir {
+    fn pack(hid: HeapId) -> NonZeroU64 {
+        // At most 48 bits, so the + 1 that keeps the word non-zero
+        // never saturates.
+        NonZeroU64::MIN.saturating_add((u64::from(hid.block) << 16) | u64::from(hid.slot))
+    }
+
+    fn unpack(word: NonZeroU64) -> HeapId {
+        let v = word.get() - 1;
+        HeapId {
+            block: (v >> 16) as u32,
+            slot: (v & 0xFFFF) as u16,
+        }
+    }
+
+    fn get(&self, id: u64) -> Option<HeapId> {
+        self.slots
+            .get(id as usize)
+            .copied()
+            .flatten()
+            .map(Self::unpack)
+    }
+
+    /// Bind `id` to `hid`, growing the vector to `id + 1` entries. Callers
+    /// decoding outside input check `id < next_id` first.
+    fn insert(&mut self, id: u64, hid: HeapId) {
+        let i = id as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        if self.slots[i].replace(Self::pack(hid)).is_none() {
+            self.live += 1;
+        }
+    }
+
+    fn remove(&mut self, id: u64) -> Option<HeapId> {
+        let word = self.slots.get_mut(id as usize)?.take()?;
+        self.live -= 1;
+        while let Some(None) = self.slots.last() {
+            self.slots.pop();
+        }
+        Some(Self::unpack(word))
+    }
+
+    fn max_id(&self) -> Option<u64> {
+        self.slots.len().checked_sub(1).map(|i| i as u64)
+    }
+
+    /// Live `(id, slot)` pairs with id ≥ `from`, ascending.
+    fn iter_from(&self, from: u64) -> impl Iterator<Item = (u64, HeapId)> + '_ {
+        let tail = self.slots.get(from as usize..).unwrap_or_default();
+        tail.iter()
+            .enumerate()
+            .filter_map(move |(i, w)| w.map(|w| (from + i as u64, Self::unpack(w))))
     }
 }
 
@@ -361,7 +434,7 @@ impl Clone for NetworkDb {
             Backend::Heap(h) => {
                 let mut fresh = HeapBackend::scratch(h.fm.page_size(), h.pool)
                     .unwrap_or_else(|e| panic!("cloning paged db: {e}"));
-                for (&id, &hid) in &h.dir {
+                for (id, hid) in h.dir.iter_from(0) {
                     let bytes = h
                         .with_heap(|heap| heap.get(hid))
                         .unwrap_or_else(|e| panic!("cloning record #{id}: {e}"));
@@ -370,7 +443,6 @@ impl Clone for NetworkDb {
                         .unwrap_or_else(|e| panic!("cloning record #{id}: {e}"));
                     fresh.dir.insert(id, nid);
                 }
-                fresh.rtypes = h.rtypes.clone();
                 fresh.link_dirty = h.link_dirty.clone();
                 Backend::Heap(Box::new(fresh))
             }
@@ -411,8 +483,7 @@ impl HeapBackend {
             fm,
             pool,
             heap: RefCell::new(heap),
-            dir: BTreeMap::new(),
-            rtypes: BTreeMap::new(),
+            dir: HeapDir::default(),
             link_dirty: BTreeSet::new(),
         })
     }
@@ -456,7 +527,9 @@ impl NetworkDb {
     /// set stores from the persisted `(set, owner, seq)` links (ordering
     /// keys re-derived from values + schema keys). The caller supplies
     /// the allocator state the scan cannot know — `next_id` and each
-    /// set's arrival counter — from its own durable metadata.
+    /// set's arrival counter — from its own durable metadata. A payload
+    /// whose record id is not below `next_id` is corruption and fails
+    /// the recovery before the directory grows to that id.
     pub fn recover_paged(
         schema: NetworkSchema,
         fm: Arc<FileMgr>,
@@ -476,9 +549,15 @@ impl NetworkDb {
             };
             h.with_heap(|heap| {
                 heap.for_each(&mut |hid, bytes| {
-                    let (rec, links) = decode_record(&bytes).map_err(|e| {
-                        crate::disk::DiskError::Corrupt(format!("heap record at {hid}: {e}"))
-                    })?;
+                    let corrupt =
+                        |e| crate::disk::DiskError::Corrupt(format!("heap record at {hid}: {e}"));
+                    let (rec, links) = decode_record(&bytes).map_err(corrupt)?;
+                    if rec.id.0 >= next_id {
+                        return Err(corrupt(format!(
+                            "record id {} not below next_id {next_id}",
+                            rec.id.0
+                        )));
+                    }
                     decoded.insert(rec.id.0, (rec, links, hid));
                     Ok(())
                 })
@@ -489,7 +568,6 @@ impl NetworkDb {
                 return Err(DbError::constraint("recover_paged: not a heap backend"));
             };
             h.dir.insert(id, hid);
-            h.rtypes.insert(id, rec.rtype.clone());
             db.by_type.entry(rec.rtype.clone()).or_default().push(id);
             let rt = db
                 .schema
@@ -573,7 +651,7 @@ impl NetworkDb {
     pub fn heap_id(&self, id: RecordId) -> Option<HeapId> {
         match &self.records {
             Backend::Mem(_) => None,
-            Backend::Heap(h) => h.dir.get(&id.0).copied(),
+            Backend::Heap(h) => h.dir.get(id.0),
         }
     }
 
@@ -608,10 +686,8 @@ impl NetworkDb {
                 }
             }
             Backend::Heap(h) => {
-                for &id in h.dir.keys().collect::<Vec<_>>() {
-                    if let Some(rec) = h.fetch(id) {
-                        f(&rec);
-                    }
+                for (id, hid) in h.dir.iter_from(0) {
+                    f(&h.read(id, hid));
                 }
             }
         }
@@ -620,7 +696,7 @@ impl NetworkDb {
     fn backend_contains(&self, id: u64) -> bool {
         match &self.records {
             Backend::Mem(m) => m.contains_key(&id),
-            Backend::Heap(h) => h.dir.contains_key(&id),
+            Backend::Heap(h) => h.dir.get(id).is_some(),
         }
     }
 
@@ -637,7 +713,6 @@ impl NetworkDb {
                     .with_heap(|heap| heap.insert(&bytes))
                     .unwrap_or_else(|e| panic!("heap insert #{id}: {e}"));
                 h.dir.insert(id, hid);
-                h.rtypes.insert(id, rec.rtype);
                 h.link_dirty.insert(id);
             }
         }
@@ -648,9 +723,8 @@ impl NetworkDb {
         match &mut self.records {
             Backend::Mem(m) => m.remove(&id),
             Backend::Heap(h) => {
-                let rec = h.fetch(id)?;
-                let hid = h.dir.remove(&id)?;
-                h.rtypes.remove(&id);
+                let hid = h.dir.remove(id)?;
+                let rec = h.read(id, hid);
                 h.link_dirty.remove(&id);
                 h.with_heap(|heap| heap.erase(hid))
                     .unwrap_or_else(|e| panic!("heap erase #{id}: {e}"));
@@ -671,15 +745,15 @@ impl NetworkDb {
                 None => false,
             },
             Backend::Heap(h) => {
-                let Some(mut rec) = h.fetch(id) else {
+                let Some(hid) = h.dir.get(id) else {
                     return false;
                 };
+                let mut rec = h.read(id, hid);
                 rec.values = values;
                 // Values rewrite resyncs the link section too (it is
                 // being re-encoded anyway), so drop any pending marker.
                 let links = persisted_links_of(&self.sets, id);
                 let bytes = encode_record(&rec, &links);
-                let hid = h.dir[&id];
                 let new_hid = h
                     .with_heap(|heap| heap.update(hid, &bytes))
                     .unwrap_or_else(|e| panic!("heap update #{id}: {e}"));
@@ -694,7 +768,7 @@ impl NetworkDb {
     /// refreshed lazily by [`NetworkDb::sync_links`]. No-op in Mem mode.
     fn touch_links(&mut self, id: u64) {
         if let Backend::Heap(h) = &mut self.records {
-            if h.dir.contains_key(&id) {
+            if h.dir.get(id).is_some() {
                 h.link_dirty.insert(id);
             }
         }
@@ -710,14 +784,14 @@ impl NetworkDb {
         };
         let pending: Vec<u64> = h.link_dirty.iter().copied().collect();
         for id in pending {
-            let Some(mut rec) = h.fetch(id) else {
+            let Some(hid) = h.dir.get(id) else {
                 h.link_dirty.remove(&id);
                 continue;
             };
+            let mut rec = h.read(id, hid);
             let links = persisted_links_of(&self.sets, id);
             rec.id = RecordId(id);
             let bytes = encode_record(&rec, &links);
-            let hid = h.dir[&id];
             let new_hid = h
                 .with_heap(|heap| heap.update(hid, &bytes))
                 .map_err(|e| DbError::constraint(format!("link sync #{id}: {e}")))?;
@@ -763,7 +837,7 @@ impl NetworkDb {
     pub fn max_record_id(&self) -> Option<RecordId> {
         match &self.records {
             Backend::Mem(m) => m.keys().next_back().map(|&i| RecordId(i)),
-            Backend::Heap(h) => h.dir.keys().next_back().map(|&i| RecordId(i)),
+            Backend::Heap(h) => h.dir.max_id().map(RecordId),
         }
     }
 
@@ -994,6 +1068,12 @@ impl NetworkDb {
         let n_records = decode(r.get_u64("record count"))?;
         for _ in 0..n_records {
             let id = decode(r.get_u64("record id"))?;
+            if id >= db.next_id {
+                return Err(DbError::constraint(format!(
+                    "state image: record id {id} not below next_id {}",
+                    db.next_id
+                )));
+            }
             let rtype = decode(r.get_str("record type"))?;
             let n_values = decode(r.get_u32("value count"))?;
             let mut values = Vec::with_capacity(n_values as usize);
@@ -1058,10 +1138,11 @@ impl NetworkDb {
     pub fn records_above(&self, after: RecordId) -> Vec<StoredRecord> {
         match &self.records {
             Backend::Mem(m) => m.range(after.0 + 1..).map(|(_, rec)| rec.clone()).collect(),
-            Backend::Heap(h) => {
-                let ids: Vec<u64> = h.dir.range(after.0 + 1..).map(|(&id, _)| id).collect();
-                ids.into_iter().filter_map(|id| h.fetch(id)).collect()
-            }
+            Backend::Heap(h) => h
+                .dir
+                .iter_from(after.0.saturating_add(1))
+                .map(|(id, hid)| h.read(id, hid))
+                .collect(),
         }
     }
 
@@ -1077,7 +1158,7 @@ impl NetworkDb {
     pub fn record_count(&self) -> usize {
         match &self.records {
             Backend::Mem(m) => m.len(),
-            Backend::Heap(h) => h.dir.len(),
+            Backend::Heap(h) => h.dir.live,
         }
     }
 

@@ -30,7 +30,7 @@
 //! let report = Supervisor::new()
 //!     .convert(&schema, &restructuring, &program, &mut AutoAnalyst)?;
 //! assert!(report.succeeded());
-//! let target_db = restructuring.translate(&source_db.clone())?;
+//! let target_db = restructuring.translate(&source_db)?;
 //!
 //! // The §1.1 acceptance test: the converted program runs equivalently.
 //! let eq = check_equivalence(
